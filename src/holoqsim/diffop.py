@@ -30,10 +30,25 @@ as raw normally ordered expressions the two sides can differ by terms like
 z_a^2 d_b^2 that kill every physical polynomial, so identity checks are
 made by applying both sides to basis monomials rather than comparing term
 dictionaries.
+
+A gate touches only its own one or two pairs, so a circuit never expands
+the whole state.  `derive_block` builds the gate on a k-qubit register (its
+qubits relabelled 1..k in the gate's order), applies the operator or
+substitution to each of the 2^k basis monomials and decodes each image
+with `from_poly`, which raises on any output that is not homogeneous of
+degree one in every pair: the homogeneity claim is checked each time a
+block is derived.  Blocks of the kinds without parameters are cached per
+(kind, form); a CU block is derived from its u at each application.
+`apply_gate` then sends every stored amplitude of the state through the
+block column that the bits of the gate's qubits select.  The full-register
+path (`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
+`to_poly`, `from_poly`) stays as the derivation and as the cross-check the
+tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
@@ -46,8 +61,8 @@ from .holostate import (
     SparsePoly,
     a_index,
     b_index,
+    encode_basis,
     from_poly,
-    to_poly,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -279,6 +294,12 @@ def apply_substitution(sub: Substitution, poly: SparsePoly) -> SparsePoly:
 # -- gate specs and circuits ------------------------------------------
 
 
+def _require_unitary(u: np.ndarray, what: str) -> None:
+    if not (np.all(np.isfinite(u))
+            and np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL):
+        raise ValueError(f"{what} is not a finite unitary within {UNITARY_TOL:g}")
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One gate application: kind, 1-based qubit indices, optional 2x2 block."""
@@ -305,8 +326,7 @@ class GateSpec:
             u = np.asarray(self.u, dtype=complex)
             if u.shape != (2, 2):
                 raise ValueError(f"CU block has shape {u.shape}, expected (2, 2)")
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
-                raise ValueError("CU block is not unitary within 1e-10")
+            _require_unitary(u, "CU block")
             object.__setattr__(self, "u", u)
         elif self.u is not None:
             raise ValueError(f"{self.kind} does not take a unitary block")
@@ -378,8 +398,7 @@ def controlled_u(control: int, target: int, u: np.ndarray,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("controlled block must be 2x2")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
-        raise ValueError("controlled block is not unitary within 1e-10")
+    _require_unitary(u, "controlled block")
     u0 = (u[0, 0] + u[1, 1]) / 2.0
     ux = (u[0, 1] + u[1, 0]) / 2.0
     uy = (1j * u[0, 1] - 1j * u[1, 0]) / 2.0  # tr(Y u)/2 with Y = [[0,-i],[i,0]]
@@ -447,20 +466,56 @@ def gate_operator(gate: GateSpec, nqubits: int,
     raise ValueError(f"unknown gate kind {k!r}")
 
 
+# Local block of a gate: input bits of its qubits (in the gate's order) ->
+# the (output bits, coefficient) pairs of that basis column.
+GateBlock = dict[str, tuple[tuple[str, complex], ...]]
+
+
+def derive_block(gate: GateSpec, form: str = "default") -> GateBlock:
+    """Block of a gate, derived from its operator on a k-qubit register.
+
+    The gate's qubits are relabelled 1..k in the gate's own order, the
+    operator is applied to each of the 2^k basis monomials, and each image
+    is decoded with `from_poly`, which raises on any non-physical output.
+    """
+    k = len(gate.qubits)
+    op = gate_operator(GateSpec(gate.kind, tuple(range(1, k + 1)), gate.u), k, form)
+    apply = apply_substitution if isinstance(op, Substitution) else apply_diffop
+    block = {}
+    for col in range(2 ** k):
+        bits = format(col, f"0{k}b")
+        image = from_poly(apply(op, encode_basis(bits)))
+        block[bits] = tuple(image.amplitudes.items())
+    return block
+
+
+@functools.cache
+def _fixed_block(kind: str, form: str) -> GateBlock:
+    """Block of a gate without parameters; at most 2 forms x 7 kinds."""
+    return derive_block(GateSpec(kind, tuple(range(1, GATE_ARITY[kind] + 1))), form)
+
+
 def apply_gate(gate: GateSpec, state: HoloState,
                form: str = "default") -> HoloState:
-    """Run one gate through the polynomial representation and decode back."""
+    """Apply a gate's local block to the amplitude map of a state."""
     for q in gate.qubits:
         if q > state.nqubits:
             raise ValueError(
                 f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
-    poly = to_poly(state)
-    op = gate_operator(gate, state.nqubits, form=form)
-    if isinstance(op, Substitution):
-        out = apply_substitution(op, poly)
+    if gate.kind == "CU":
+        block = derive_block(gate, form)
     else:
-        out = apply_diffop(op, poly)
-    return from_poly(out)
+        block = _fixed_block(gate.kind, form)
+    positions = [q - 1 for q in gate.qubits]
+    out: dict[str, complex] = {}
+    for bits, amp in state.amplitudes.items():
+        chars = list(bits)
+        for row, coeff in block["".join([bits[p] for p in positions])]:
+            for p, ch in zip(positions, row):
+                chars[p] = ch
+            key = "".join(chars)
+            out[key] = out.get(key, 0j) + coeff * amp
+    return HoloState(state.nqubits, out)
 
 
 def run_circuit_holo(circuit: Circuit, state: HoloState,

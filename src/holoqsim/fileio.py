@@ -30,6 +30,7 @@ crash cannot leave a half-written output.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -142,6 +143,8 @@ def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
             raise FormatError(
                 f"{where}: amplitude of {bits!r} must be a [real, imag] pair")
         amps[bits] = complex(float(pair[0]), float(pair[1]))
+        if not cmath.isfinite(amps[bits]):
+            raise FormatError(f"{where}: amplitude of {bits!r} is not finite")
     return amps
 
 

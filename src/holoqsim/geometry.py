@@ -133,11 +133,11 @@ def _contract_except(conj_tensor: np.ndarray, factors: list[np.ndarray],
                      skip: int) -> np.ndarray:
     """w_j: the conjugated state tensor contracted with every factor but one."""
     n = conj_tensor.ndim
-    letters = "abcdefghij"[:n]
-    spec = (letters + "," + ",".join(letters[k] for k in range(n) if k != skip)
-            + "->" + letters[skip])
-    operands = [factors[k] for k in range(n) if k != skip]
-    return np.einsum(spec, conj_tensor, *operands)
+    operands = [conj_tensor, list(range(n))]
+    for k in range(n):
+        if k != skip:
+            operands += [factors[k], [k]]
+    return np.einsum(*operands, [skip])
 
 
 def maximize_product_overlap(psi: HoloState,

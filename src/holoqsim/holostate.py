@@ -25,6 +25,7 @@ factorials are 0! or 1!, so it reduces to the usual amplitude dot product.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -235,6 +236,8 @@ class HoloState:
                 raise ValueError(
                     f"bad basis label {bits!r} for {nqubits} qubit(s)")
             c = complex(amp)
+            if not cmath.isfinite(c):
+                raise ValueError(f"amplitude of {bits!r} is not finite: {c}")
             if abs(c) > ZERO_TOL:
                 clean[bits] = c
         self.amplitudes = clean
@@ -300,7 +303,10 @@ def encode_state(amplitudes: np.ndarray | list | dict[str, complex],
     n = int(round(math.log2(v.size))) if v.size else 0
     if v.size < 2 or 2 ** n != v.size:
         raise ValueError(f"amplitude vector length {v.size} is not a power of two >= 2")
-    amps = {format(k, f"0{n}b"): v[k] for k in range(v.size) if abs(v[k]) > ZERO_TOL}
+    # Written as not (|v| <= tol) so that a non-finite entry reaches HoloState,
+    # which rejects it.
+    amps = {format(k, f"0{n}b"): v[k] for k in range(v.size)
+            if not abs(v[k]) <= ZERO_TOL}
     return HoloState(n, amps)
 
 

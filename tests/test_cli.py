@@ -128,6 +128,31 @@ def test_diff_malformed_state_exits_2(bell_files, tmp_path, capsys):
     assert "line" in stderr
 
 
+def test_diff_nan_cu_block_exits_2(bell_files, tmp_path, capsys):
+    _, state = bell_files
+    circ = tmp_path / "nan_cu.json"
+    circ.write_text('{"n": 2, "gates": [{"kind": "CU", "qubits": [1, 2], '
+                    '"u": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}]}')
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", str(circ),
+                                   "--state", state)
+    assert code == 2
+    assert stdout == ""
+    assert "finite unitary" in stderr
+
+
+def test_simulate_nan_amplitude_exits_2(tmp_path, capsys):
+    circ = tmp_path / "h.json"
+    circ.write_text('{"n": 1, "gates": [{"kind": "H", "qubits": [1]}]}')
+    state = tmp_path / "nan.json"
+    state.write_text('{"n": 1, "amplitudes": {"0": [1, 0], "1": [NaN, 0]}}')
+    out = tmp_path / "out.json"
+    code, _, stderr = run_cli(capsys, "simulate", "--circuit", str(circ),
+                              "--state", str(state), "--out", str(out))
+    assert code == 2
+    assert "not finite" in stderr
+    assert not out.exists()
+
+
 def test_diff_unnormalized_state_exits_2(bell_files, tmp_path, capsys):
     circ, _ = bell_files
     bad = tmp_path / "un.json"

@@ -21,6 +21,7 @@ from holoqsim import (
     controlled_u,
     encode_basis,
     encode_state,
+    from_poly,
     gate_operator,
     haar_random_unitary,
     run_circuit_holo,
@@ -29,6 +30,7 @@ from holoqsim import (
     to_poly,
 )
 from holoqsim.diffop import (
+    GATE_ARITY,
     cnot_op,
     cz_op,
     hadamard_op,
@@ -37,8 +39,9 @@ from holoqsim.diffop import (
     pauli_z,
     swap_op,
 )
+from hypothesis import given, settings, strategies as st
 
-from _support import random_circuit, random_state_vector
+from _support import ALL_KINDS, random_circuit, random_state_vector
 
 SQ2 = math.sqrt(2.0)
 
@@ -243,6 +246,15 @@ def test_controlled_u_rejects_nonunitary():
         controlled_u(1, 2, np.array([[1.0, 0.0], [0.0, 2.0]]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unitarity_checks_reject_non_finite_blocks(bad):
+    u = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite unitary"):
+        controlled_u(1, 2, u, 2)
+    with pytest.raises(ValueError, match="finite unitary"):
+        GateSpec("CU", (1, 2), u)
+
+
 # -- gate specs and circuits ------------------------------------------
 
 
@@ -381,3 +393,54 @@ def test_haar_random_unitary_is_unitary():
     for _ in range(50):
         u = haar_random_unitary(rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+
+# -- compiled blocks against the full-register algebra ----------------
+
+
+def run_circuit_symbolic(circuit, state):
+    """Each gate as an operator on the whole register, applied to the polynomial."""
+    for gate in circuit.gates:
+        op = gate_operator(gate, circuit.nqubits)
+        poly = to_poly(state)
+        out = (apply_substitution(op, poly) if isinstance(op, Substitution)
+               else apply_diffop(op, poly))
+        state = from_poly(out)
+    return state
+
+
+@st.composite
+def circuits_with_every_kind(draw):
+    """A circuit holding every gate kind, at least one pair in reversed order."""
+    n = draw(st.integers(2, 6))
+    kinds = draw(st.permutations(ALL_KINDS)) + draw(
+        st.lists(st.sampled_from(ALL_KINDS), max_size=4))
+    gates = []
+    for kind in kinds:
+        if GATE_ARITY[kind] == 1:
+            gates.append(GateSpec(kind, (draw(st.integers(1, n)),)))
+            continue
+        pair = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        if all(len(g.qubits) == 1 for g in gates):
+            pair.sort(reverse=True)  # the first pair gate: control > target
+        u = None
+        if kind == "CU":
+            u = haar_random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        gates.append(GateSpec(kind, tuple(pair), u))
+    v0 = random_state_vector(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return Circuit(n, tuple(gates)), v0
+
+
+@settings(deadline=None, max_examples=50)
+@given(circuits_with_every_kind())
+def test_compiled_blocks_match_symbolic_oracle_and_diffop_form(case):
+    circ, v0 = case
+    psi = encode_state(v0)
+    compiled = run_circuit_holo(circ, psi).to_vector()
+    references = [
+        run_circuit_symbolic(circ, psi).to_vector(),
+        run_circuit_matrix(circ, StateVector(v0)).amplitudes,
+        run_circuit_holo(circ, psi, form="diffop").to_vector(),
+    ]
+    for ref in references:
+        assert np.max(np.abs(compiled - ref)) < 1e-10

@@ -81,6 +81,14 @@ def test_state_rejects_malformed_amplitude(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_state_rejects_non_finite_amplitude(tmp_path, value):
+    path = write(tmp_path, "nan.json",
+                 '{"n": 1, "amplitudes": {"0": [1, 0], "1": [%s, 0]}}' % value)
+    with pytest.raises(FormatError, match="not finite"):
+        load_state(path)
+
+
 def test_state_rejects_missing_keys(tmp_path):
     path = write(tmp_path, "bad5.json", '{"amplitudes": {}}')
     with pytest.raises(FormatError):

@@ -195,6 +195,17 @@ def test_cnot_lifts_plus_zero_to_bell_measure():
     assert entanglement_measure(bell) == pytest.approx(PI / 4, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [1, 12])
+def test_optimizer_finds_product_state_at_any_register_size(n):
+    rng = np.random.default_rng(n)
+    factors = [random_state_vector(rng, 1) for _ in range(n)]
+    v = factors[0]
+    for f in factors[1:]:
+        v = np.kron(v, f)
+    result = maximize_product_overlap(encode_state(v), restarts=2)
+    assert result.overlap == pytest.approx(1.0, abs=1e-12)
+
+
 def test_optimizer_monotone_convergence():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -58,6 +58,14 @@ def test_encode_state_rejects_bad_lengths():
         encode_state(np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HoloState(1, {"0": 1.0, "1": bad})
+    with pytest.raises(ValueError, match="finite"):
+        encode_state(np.array([1.0, bad]))
+
+
 def test_to_poly_bell():
     r = 1.0 / math.sqrt(2.0)
     poly = to_poly(encode_state(np.array([r, 0.0, 0.0, r])))

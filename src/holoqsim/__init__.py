@@ -10,10 +10,8 @@ holonomy, and quadratic-Hamiltonian evolution of the pair amplitudes.
 """
 
 from .holostate import (
-    BASIS,
     NORM_TOL,
     ZERO_TOL,
-    BasisConvention,
     HoloState,
     NonPhysicalPolynomialError,
     SparsePoly,

@@ -41,16 +41,13 @@ from .geometry import (
     berry_holonomy,
     bloch_circle_loop,
     maximize_product_overlap,
-    entanglement_measure,
+    overlap_distance,
 )
 from .holostate import check_all_homogeneity, to_poly
 from .oracle import StateVector, compare_states, run_circuit_matrix
-from .semiclassical import (
-    CoherentPoint,
-    pauli_hamiltonian,
-    propagator,
-)
-from .torus import GENERATORS, FlowSpec, TorusPoint, integrate_flow, wrap_angle
+from .semiclassical import pauli_hamiltonian, propagator
+from .torus import (GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow,
+                    wrap_angle)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -73,6 +70,8 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
         raise CliError(f"{what} must be a comma-separated list of numbers, got {text!r}")
     if not values:
         raise CliError(f"{what} must not be empty")
+    if not all(math.isfinite(x) for x in values):
+        raise CliError(f"{what} must hold finite numbers, got {text!r}")
     return values
 
 
@@ -90,9 +89,6 @@ def _load_state_checked(path: str):
 def cmd_simulate(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
-    if circuit.nqubits != state.nqubits:
-        raise CliError(
-            f"circuit has {circuit.nqubits} qubit(s), state has {state.nqubits}")
     out_state = run_circuit_holo(circuit, state)
     save_state(args.out, out_state)
     poly = to_poly(out_state)
@@ -107,9 +103,6 @@ def cmd_simulate(args) -> int:
 def cmd_diff(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
-    if circuit.nqubits != state.nqubits:
-        raise CliError(
-            f"circuit has {circuit.nqubits} qubit(s), state has {state.nqubits}")
     holo_out = run_circuit_holo(circuit, state)
     matrix_out = run_circuit_matrix(circuit, StateVector(state.to_vector()))
     deviation = compare_states(matrix_out, holo_out.to_vector())
@@ -138,10 +131,9 @@ def cmd_portrait(args) -> int:
                if args.offsets else DEFAULT_OFFSETS)
     deltas = (_parse_float_list(args.deltas, "--deltas")
               if args.deltas else DEFAULT_DELTAS)
-    if args.dt <= 0:
-        raise CliError("--dt must be > 0")
     if args.t_final <= 0:
         raise CliError("--t-final must be > 0")
+    spec = FlowSpec(generator, 1, args.t_final, args.dt)
     os.makedirs(args.out_dir, exist_ok=True)
     entries = []
     idx = 0
@@ -149,7 +141,6 @@ def cmd_portrait(args) -> int:
         for delta0 in deltas:
             start = TorusPoint((wrap_angle(0.5 * (sigma0 + delta0)),
                                 wrap_angle(0.5 * (sigma0 - delta0))))
-            spec = FlowSpec(generator, 1, args.t_final, args.dt)
             traj = integrate_flow(spec, start)
             fname = f"portrait_{generator.lower()}_{idx:02d}.csv"
             save_trajectory(os.path.join(args.out_dir, fname), traj)
@@ -175,7 +166,7 @@ def cmd_portrait(args) -> int:
 def cmd_entanglement(args) -> int:
     state = _load_state_checked(args.state)
     result = maximize_product_overlap(state, restarts=args.restarts, seed=args.seed)
-    measure = entanglement_measure(state, restarts=args.restarts, seed=args.seed)
+    measure = overlap_distance(result.overlap)
     separable = measure <= args.tol
     report = {
         "state": args.state,
@@ -230,10 +221,6 @@ def cmd_classical_evolve(args) -> int:
     generator = args.generator.upper()
     if generator not in GENERATORS:
         raise CliError(f"generator must be one of {', '.join(GENERATORS)}")
-    if args.dt <= 0:
-        raise CliError("--dt must be > 0")
-    if args.t_final < 0:
-        raise CliError("--t-final must be >= 0")
     raw = _parse_float_list(args.z0, "--z0")
     if len(raw) % 4:
         raise CliError("--z0 needs 4 numbers per qubit: re_a, im_a, re_b, im_b")
@@ -243,10 +230,9 @@ def cmd_classical_evolve(args) -> int:
         raise CliError(f"--qubit {args.qubit} out of range 1..{nqubits}")
     ham = pauli_hamiltonian(generator, args.qubit, nqubits)
 
-    nfull = int(math.floor(args.t_final / args.dt + 1e-9))
-    rem = args.t_final - nfull * args.dt
+    nfull, rem = fixed_steps(args.t_final, args.dt)
     times = [k * args.dt for k in range(nfull + 1)]
-    if rem > 1e-12:
+    if rem:
         times.append(args.t_final)
 
     cols = ["t"]
@@ -264,10 +250,9 @@ def cmd_classical_evolve(args) -> int:
         lines.append(", ".join(row))
     text = "\n".join(lines) + "\n"
     atomic_write_text(args.out, text)
-    point = CoherentPoint(z0)
     print(f"wrote {args.out}")
     print(f"samples: {len(times)}")
-    print(f"initial energy: {format_float(ham.energy(point.z))}")
+    print(f"initial energy: {format_float(ham.energy(z0))}")
     return EXIT_OK
 
 

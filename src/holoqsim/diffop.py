@@ -155,17 +155,6 @@ class DiffOperator:
             return NotImplemented
         return self.nqubits == other.nqubits and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("DiffOperator is unhashable")
-
-    def isclose(self, other: "DiffOperator", tol: float = 1e-12) -> bool:
-        if self.nqubits != other.nqubits:
-            return False
-        for key in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(key, 0j) - other.terms.get(key, 0j)) > tol:
-                return False
-        return True
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"DiffOperator(n={self.nqubits}, 0)"

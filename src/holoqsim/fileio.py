@@ -142,7 +142,10 @@ def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
                 or not all(isinstance(x, (int, float)) for x in pair)):
             raise FormatError(
                 f"{where}: amplitude of {bits!r} must be a [real, imag] pair")
-        amps[bits] = complex(float(pair[0]), float(pair[1]))
+        try:
+            amps[bits] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:
+            raise FormatError(f"{where}: amplitude of {bits!r} is too large for a float")
         if not cmath.isfinite(amps[bits]):
             raise FormatError(f"{where}: amplitude of {bits!r} is not finite")
     return amps
@@ -210,6 +213,8 @@ def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
                               for row in raw])
             except (TypeError, IndexError, ValueError):
                 raise FormatError(f'{whereg}: "u" entries must be [re, im] pairs')
+            except OverflowError:
+                raise FormatError(f'{whereg}: a "u" entry is too large for a float')
         elif "u" in entry:
             raise FormatError(f'{whereg}: only CU takes a "u" block')
         try:

@@ -70,12 +70,20 @@ def fidelity(psi: HoloState, phi: HoloState) -> float:
     return abs(olap) ** 2
 
 
+def overlap_distance(olap: float) -> float:
+    """Fubini-Study distance arccos(olap) of an overlap magnitude in [0, 1].
+
+    Overlaps within OVERLAP_SNAP of 1 (rounding can put them above 1) are
+    snapped to distance 0.
+    """
+    if olap > 1.0 - OVERLAP_SNAP:
+        return 0.0
+    return math.acos(olap)
+
+
 def fubini_study_distance(psi: HoloState, phi: HoloState) -> float:
     """arccos of the overlap magnitude; the projective-space arc length."""
-    olap = math.sqrt(fidelity(psi, phi))
-    if olap > 1.0 - OVERLAP_SNAP:
-        olap = 1.0
-    return math.acos(min(olap, 1.0))
+    return overlap_distance(math.sqrt(fidelity(psi, phi)))
 
 
 @dataclass(frozen=True)
@@ -150,13 +158,15 @@ def maximize_product_overlap(psi: HoloState,
     Ties between restarts break toward the lower restart index, so results
     are reproducible for a fixed (seed, restarts) pair.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     _require_normalized(psi, "psi")
     n = psi.nqubits
     tensor = psi.to_vector().reshape([2] * n)
     conj_tensor = tensor.conj()
 
     best: tuple[float, int] | None = None
-    best_factors: list[np.ndarray] | None = None
+    best_factors: list[np.ndarray] = []
     records = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -183,7 +193,6 @@ def maximize_product_overlap(psi: HoloState,
         if best is None or overlap > best[0]:
             best = (overlap, r)
             best_factors = [f.copy() for f in factors]
-    assert best_factors is not None
     witness = ProductState(tuple(best_factors))
     return ProductOverlapResult(min(best[0], 1.0), witness, tuple(records))
 
@@ -193,10 +202,7 @@ def entanglement_measure(psi: HoloState,
                          seed: int = 0) -> float:
     """Fubini-Study distance to the nearest product state (0 for separable)."""
     result = maximize_product_overlap(psi, restarts=restarts, seed=seed)
-    olap = result.overlap
-    if olap > 1.0 - OVERLAP_SNAP:
-        olap = 1.0
-    return math.acos(min(olap, 1.0))
+    return overlap_distance(result.overlap)
 
 
 def is_separable(psi: HoloState, tol: float = SEPARABLE_TOL,
@@ -208,11 +214,7 @@ def is_separable(psi: HoloState, tol: float = SEPARABLE_TOL,
     within tol; the witness then reconstructs the state up to phase.
     """
     result = maximize_product_overlap(psi, restarts=restarts, seed=seed)
-    olap = result.overlap
-    if olap > 1.0 - OVERLAP_SNAP:
-        olap = 1.0
-    measure = math.acos(min(olap, 1.0))
-    if measure <= tol:
+    if overlap_distance(result.overlap) <= tol:
         return True, result.witness
     return False, None
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +38,6 @@ NORM_TOL = 1e-10
 
 class NonPhysicalPolynomialError(ValueError):
     """Raised when a polynomial is not a valid one-hot qubit encoding."""
-
-
-@dataclass(frozen=True)
-class BasisConvention:
-    """Fixed record of the encoding conventions used across the package."""
-
-    zero_mode: str = "a"   # bit 0 lives on the first variable of the pair
-    one_mode: str = "b"    # bit 1 lives on the second
-    bit_order: str = "big-endian"  # qubit 1 = leftmost character = MSB
-
-    def mode_offset(self, bit: int) -> int:
-        """Offset (0 for the a-variable, 1 for the b-variable) of a bit value."""
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        return bit
-
-
-BASIS = BasisConvention()
 
 
 def a_index(qubit: int) -> int:
@@ -186,17 +167,6 @@ class SparsePoly:
             return NotImplemented
         return self.nqubits == other.nqubits and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("SparsePoly is mutable-by-convention and unhashable")
-
-    def isclose(self, other: "SparsePoly", tol: float = 1e-12) -> bool:
-        """Coefficient-wise comparison over the union of exponent sets."""
-        self._require_same_register(other)
-        for expo in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(expo, 0j) - other.terms.get(expo, 0j)) > tol:
-                return False
-        return True
-
     def max_coeff_diff(self, other: "SparsePoly") -> float:
         self._require_same_register(other)
         keys = self.terms.keys() | other.terms.keys()
@@ -253,17 +223,10 @@ class HoloState:
             v[int(bits, 2)] = amp
         return v
 
-    @classmethod
-    def from_vector(cls, amplitudes: np.ndarray) -> "HoloState":
-        return encode_state(amplitudes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HoloState):
             return NotImplemented
         return self.nqubits == other.nqubits and self.amplitudes == other.amplitudes
-
-    def __hash__(self):
-        raise TypeError("HoloState is unhashable")
 
     def __repr__(self) -> str:
         amps = ", ".join(f"|{b}>: {c:.6g}" for b, c in sorted(self.amplitudes.items()))
@@ -279,7 +242,7 @@ def basis_exponents(bits: str) -> tuple[int, ...]:
     for j, ch in enumerate(bits, start=1):
         if ch not in "01":
             raise ValueError(f"bad basis label {bits!r}")
-        expo[a_index(j) + BASIS.mode_offset(int(ch))] = 1
+        expo[a_index(j) + int(ch)] = 1
     return tuple(expo)
 
 

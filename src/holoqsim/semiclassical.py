@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .torus import fixed_steps
+
 HERMITIAN_TOL = 1e-12
 
 _PAULI_BLOCKS = {
@@ -63,7 +65,7 @@ class QuadraticHamiltonian:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"h must be square of even size, got shape {m.shape}")
         defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERMITIAN_TOL:
+        if not (defect <= HERMITIAN_TOL):
             raise ValueError(
                 f"h is not Hermitian: max |h - h^dag| = {defect:.3g} exceeds "
                 f"{HERMITIAN_TOL:g}")
@@ -113,18 +115,15 @@ def evolve_classical(ham: QuadraticHamiltonian, z0: CoherentPoint | np.ndarray,
         return CoherentPoint(propagator(ham, t) @ v)
     if method != "rk4":
         raise ValueError(f"unknown method {method!r}")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    nfull, rem = fixed_steps(abs(t), dt)
     h = ham.hmatrix
 
     def rhs(w):
         return -1j * (h @ w)
 
-    nfull = int(math.floor(abs(t) / dt + 1e-9))
-    rem = abs(t) - nfull * dt
     sign = 1.0 if t >= 0 else -1.0
     w = v.astype(complex)
-    for step_dt in [dt] * nfull + ([rem] if rem > 1e-12 else []):
+    for step_dt in [dt] * nfull + ([rem] if rem else []):
         sdt = sign * step_dt
         k1 = rhs(w)
         k2 = rhs(w + 0.5 * sdt * k1)

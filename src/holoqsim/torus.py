@@ -140,6 +140,22 @@ def vector_field(generator: str, point: TorusPoint, qubit: int) -> tuple[float, 
     return pair_field(generator, pa - pb)
 
 
+def fixed_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """Time grid of a fixed-step flow: nfull steps of dt, then one of rem.
+
+    rem is 0.0 when dt divides t_final.  The 1e-9 slack in the floor keeps
+    a t_final that dt divides up to rounding at nfull full steps, so the
+    sample at index k sits at exactly k*dt.
+    """
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    nfull = int(math.floor(t_final / dt + 1e-9))
+    rem = t_final - nfull * dt
+    return nfull, (rem if rem > 1e-12 else 0.0)
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """Integration request: which generator drives which qubit, for how long."""
@@ -148,19 +164,13 @@ class FlowSpec:
     qubit: int
     t_final: float
     dt: float
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.qubit < 1:
             raise ValueError("qubit index is 1-based")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be >= 0")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
+        fixed_steps(self.t_final, self.dt)
 
 
 class Trajectory:
@@ -217,10 +227,8 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     Integration state is unwrapped, samples are wrapped on recording.
     """
     start._check(spec.qubit)
-    nfull = int(math.floor(spec.t_final / spec.dt + 1e-9))
-    rem = spec.t_final - nfull * spec.dt
-    has_partial = rem > 1e-12
-    nsamples = nfull + 1 + (1 if has_partial else 0)
+    nfull, rem = fixed_steps(spec.t_final, spec.dt)
+    nsamples = nfull + 1 + (1 if rem else 0)
 
     n = start.nqubits
     times = np.empty(nsamples)
@@ -244,7 +252,7 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     for k in range(1, nfull + 1):
         pa, pb = _rk4_step(spec.generator, pa, pb, spec.dt)
         record(k, k * spec.dt, pa, pb)
-    if has_partial:
+    if rem:
         pa, pb = _rk4_step(spec.generator, pa, pb, rem)
         record(nsamples - 1, spec.t_final, pa, pb)
     return Trajectory(times, phases, sums)

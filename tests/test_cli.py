@@ -7,7 +7,10 @@ import os
 import numpy as np
 import pytest
 
+import holoqsim.cli
+import holoqsim.geometry
 from holoqsim.cli import main
+from holoqsim.geometry import overlap_distance
 
 SQ2 = math.sqrt(2.0)
 PI = math.pi
@@ -85,7 +88,42 @@ def test_simulate_register_mismatch_exits_2(bell_files, tmp_path, capsys):
     assert "qubit" in stderr
 
 
+def test_simulate_huge_integer_amplitude_exits_2(tmp_path, capsys):
+    circ = tmp_path / "h.json"
+    circ.write_text('{"n": 1, "gates": [{"kind": "H", "qubits": [1]}]}')
+    state = tmp_path / "huge.json"
+    state.write_text('{"n": 1, "amplitudes": {"0": [1%s, 0]}}' % ("0" * 400))
+    code, _, stderr = run_cli(capsys, "simulate", "--circuit", str(circ),
+                              "--state", str(state),
+                              "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert "too large" in stderr
+
+
 # -- diff -------------------------------------------------------------
+
+
+def test_diff_register_mismatch_exits_2(bell_files, tmp_path, capsys):
+    circ, _ = bell_files
+    state = tmp_path / "one.json"
+    state.write_text('{"n": 1, "amplitudes": {"0": [1.0, 0.0]}}')
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", circ,
+                                   "--state", str(state))
+    assert code == 2
+    assert stdout == ""
+    assert "qubit" in stderr
+
+
+def test_diff_huge_integer_cu_entry_exits_2(bell_files, tmp_path, capsys):
+    _, state = bell_files
+    circ = tmp_path / "huge_cu.json"
+    circ.write_text('{"n": 2, "gates": [{"kind": "CU", "qubits": [1, 2], '
+                    '"u": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}]}' % ("0" * 400))
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", str(circ),
+                                   "--state", state)
+    assert code == 2
+    assert stdout == ""
+    assert "too large" in stderr
 
 
 def test_diff_engines_agree(bell_files, capsys):
@@ -229,6 +267,37 @@ def test_portrait_bad_generator_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("portrait", "--t-final"), ("classical-evolve", "--t-final"),
+    ("portrait", "--dt"), ("classical-evolve", "--dt"),
+])
+def test_infinite_time_grid_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if command == "portrait" else ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, command, "--generator", "X",
+                                   flag, "inf", *target)
+    assert code == 2
+    assert stdout == ""
+    assert "finite" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classical-evolve", "--generator", "X", "--z0", "nan,0,0,0"], "--z0"),
+    (["classical-evolve", "--generator", "X", "--z0", "1,0,inf,0"], "--z0"),
+    (["portrait", "--generator", "X", "--offsets", "nan"], "--offsets"),
+    (["portrait", "--generator", "Y", "--deltas", "0,-inf"], "--deltas"),
+])
+def test_non_finite_number_list_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if argv[0] == "portrait" else ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, *argv, *target)
+    assert code == 2
+    assert stdout == ""
+    assert flag in stderr and "finite" in stderr
+    assert not out.exists()
+
+
 # -- entanglement -----------------------------------------------------
 
 
@@ -292,6 +361,41 @@ def test_entanglement_unnormalized_exits_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "entanglement", "--state", str(state))
     assert code == 2
     assert "normalized" in stderr
+
+
+def test_entanglement_runs_optimizer_once(tmp_path, capsys, monkeypatch):
+    real = holoqsim.geometry.maximize_product_overlap
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holoqsim.cli, "maximize_product_overlap", counting)
+    monkeypatch.setattr(holoqsim.geometry, "maximize_product_overlap", counting)
+    state = tmp_path / "w.json"
+    r = 1 / math.sqrt(3.0)
+    state.write_text(json.dumps(
+        {"n": 3, "amplitudes": {"001": [r, 0.0], "010": [r, 0.0], "100": [r, 0.0]}}))
+    out = str(tmp_path / "report.json")
+    code, _, _ = run_cli(capsys, "entanglement", "--state", str(state),
+                         "--out", out, "--restarts", "3")
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(open(out).read())
+    assert doc["entanglement_measure"] > 0.0
+    assert doc["entanglement_measure"] == overlap_distance(doc["max_product_overlap"])
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_entanglement_nonpositive_restarts_exits_2(tmp_path, capsys, restarts):
+    state = tmp_path / "bell.json"
+    state.write_text(ZERO2)
+    code, stdout, stderr = run_cli(capsys, "entanglement", "--state", str(state),
+                                   "--restarts", restarts)
+    assert code == 2
+    assert stdout == ""
+    assert "restarts" in stderr
 
 
 # -- holonomy ---------------------------------------------------------

@@ -444,3 +444,13 @@ def test_compiled_blocks_match_symbolic_oracle_and_diffop_form(case):
     ]
     for ref in references:
         assert np.max(np.abs(compiled - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: encode_basis("01"),
+    lambda: encode_state(np.array([1.0, 0.0])),
+    lambda: DiffOperator.identity(1),
+], ids=["SparsePoly", "HoloState", "DiffOperator"])
+def test_value_classes_are_unhashable(make):
+    with pytest.raises(TypeError):
+        hash(make())

@@ -24,6 +24,8 @@ from holoqsim import (
     schmidt_oracle,
 )
 
+from holoqsim.geometry import overlap_distance
+
 from _support import random_state_vector
 
 PI = math.pi
@@ -331,3 +333,17 @@ def test_holonomy_rejects_orthogonal_consecutive_states():
     loop = StateLoop(tuple(states))
     with pytest.raises(ValueError):
         berry_holonomy(loop)
+
+
+def test_overlap_distance_snaps_near_one():
+    assert overlap_distance(1.0 - 1e-14) == 0.0
+    assert overlap_distance(1.0 + 1e-15) == 0.0
+    assert overlap_distance(0.0) == PI / 2
+    assert overlap_distance(1.0 - 1e-12) > 0.0
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_optimizer_rejects_nonpositive_restarts(restarts):
+    psi = encode_state(np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="restarts"):
+        maximize_product_overlap(psi, restarts=restarts)

@@ -38,6 +38,14 @@ def test_hamiltonian_rejects_non_hermitian():
         QuadraticHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1)])
+def test_hamiltonian_rejects_nan(i, j):
+    h = np.zeros((2, 2), dtype=complex)
+    h[i, j] = math.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuadraticHamiltonian(h)
+
+
 def test_hamiltonian_rejects_odd_size():
     with pytest.raises(ValueError):
         QuadraticHamiltonian(np.eye(3))

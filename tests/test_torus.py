@@ -23,6 +23,7 @@ from holoqsim import (
 from holoqsim.torus import (
     PAIR_HAMILTONIANS,
     circle_distance,
+    fixed_steps,
     hadamard_pair_map,
     pair_field,
     reduced_cos,
@@ -427,5 +428,29 @@ def test_flowspec_validation():
         FlowSpec("X", 1, -1.0, 0.1)
     with pytest.raises(ValueError):
         FlowSpec("X", 1, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_final, dt", [
+    (1.0, 0.1), (0.35, 0.1), (0.0, 0.1), (10.0, 0.01), (0.3, 0.07),
+    (PI / 2, 0.01), (2.5, 0.3),
+])
+def test_fixed_steps_matches_floor_grid(t_final, dt):
+    nfull = int(math.floor(t_final / dt + 1e-9))
+    rem = t_final - nfull * dt
+    assert fixed_steps(t_final, dt) == (nfull, rem if rem > 1e-12 else 0.0)
+
+
+def test_fixed_steps_dividing_and_partial_grids():
+    assert fixed_steps(1.0, 0.1) == (10, 0.0)
+    assert fixed_steps(0.0, 0.1) == (0, 0.0)
+    nfull, rem = fixed_steps(0.35, 0.1)
+    assert nfull == 3 and rem == pytest.approx(0.05, abs=1e-15)
+
+
+@pytest.mark.parametrize("t_final, dt", [
+    (math.inf, 0.1), (math.nan, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1),
+    (1.0, math.nan), (1.0, math.inf),
+])
+def test_fixed_steps_rejects_bad_grid(t_final, dt):
     with pytest.raises(ValueError):
-        FlowSpec("X", 1, 1.0, 0.1, method="euler")
+        fixed_steps(t_final, dt)

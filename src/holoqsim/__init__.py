@@ -10,6 +10,7 @@ holonomy, and quadratic-Hamiltonian evolution of the pair amplitudes.
 """
 
 from .holostate import (
+    MAX_DENSE_QUBITS,
     NORM_TOL,
     ZERO_TOL,
     HoloState,

@@ -75,6 +75,17 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
     return values
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0; anything else exits 2."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _load_state_checked(path: str):
     state = load_state(path)
     if not state.is_normalized:
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare polynomial and state-vector engines")
     p.add_argument("--circuit", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diff)
 
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--tol", type=float, default=SEPARABLE_TOL)
+    p.add_argument("--tol", type=_tolerance, default=SEPARABLE_TOL)
     p.set_defaults(func=cmd_entanglement)
 
     p = sub.add_parser("holonomy", help="discrete geometric phase of a state loop")

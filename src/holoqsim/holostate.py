@@ -34,6 +34,8 @@ import numpy as np
 ZERO_TOL = 1e-14
 # |<psi|psi> - 1| bound used when flagging a state as normalized.
 NORM_TOL = 1e-10
+# Largest register HoloState.to_vector builds a dense vector for.
+MAX_DENSE_QUBITS = 24
 
 
 class NonPhysicalPolynomialError(ValueError):
@@ -217,7 +219,18 @@ class HoloState:
         return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
 
     def to_vector(self) -> np.ndarray:
-        """Flat amplitude vector of length 2^N, index = bit string as binary."""
+        """Flat amplitude vector of length 2^N, index = bit string as binary.
+
+        Raises ValueError above MAX_DENSE_QUBITS.  This is where `diff` and
+        `entanglement` allocate 2^N amplitudes, and `diff` holds at most four
+        such vectors of 16 * 2^N bytes at once (measured with tracemalloc at
+        N = 18: in the oracle's H and CU contractions and in compare_states),
+        so 24 qubits peak at 1 GiB and each qubit more doubles it.
+        """
+        if self.nqubits > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"{self.nqubits} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit "
+                f"for dense 2^N amplitude vectors")
         v = np.zeros(2 ** self.nqubits, dtype=complex)
         for bits, amp in self.amplitudes.items():
             v[int(bits, 2)] = amp

@@ -3,7 +3,10 @@
 Completely independent route used to cross-check the polynomial engine:
 amplitudes live in a flat complex vector of length 2^N, reshaped to
 [2]*N so qubit j (1-based, big-endian) is axis j-1, and gates act by
-index arithmetic on those axes.  Nothing here touches polynomials.
+index arithmetic on those axes.  A circuit copies its input once and then
+applies every gate in place on that one buffer: permutation and phase
+gates swap or scale slices of it, H and CU contract with their hard-coded
+or given 2x2 matrix.  Nothing here touches polynomials.
 """
 
 from __future__ import annotations
@@ -54,48 +57,64 @@ class StateVector:
         return cls(v)
 
 
-def _apply_single(tensor: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(u, tensor, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _exchange(a: np.ndarray, b: np.ndarray, to_a: complex = 1.0,
+              to_b: complex = 1.0) -> None:
+    """Set a <- to_a * b and b <- to_b * a for two disjoint slices of one buffer.
+
+    Written with ufuncs and out=, which see that the slices are disjoint; a
+    plain `a[...] = b` between two views of one buffer copies b first.
+    """
+    tmp = a.copy()
+    np.multiply(b, to_a, out=a)
+    np.multiply(tmp, to_b, out=b)
+
+
+def _apply_in_place(gate: GateSpec, t: np.ndarray) -> None:
+    """Apply one gate to the [2]*N amplitude tensor t, overwriting it.
+
+    The gate's qubits are moved to the leading axes of a view, so every
+    branch below works on slices of t itself.  Permutations exchange half or
+    quarter slices through one temporary, scaled by the hard-coded off-diagonal
+    entries for X and Y; Z and CZ scale the |1> or |11> slice by Z's -1.  H
+    and CU contract with their matrix by tensordot.  Index with [1, ...],
+    never [1]: on a one-qubit register (two-qubit for two-qubit kinds) [1] is
+    a scalar, not a view into t.
+    """
+    axes = [q - 1 for q in gate.qubits]
+    v = np.moveaxis(t, axes, list(range(len(axes))))
+    kind = gate.kind
+    if kind in ("X", "Y"):
+        m = _ONE_QUBIT[kind]
+        _exchange(v[0, ...], v[1, ...], m[0, 1], m[1, 0])
+    elif kind == "Z":
+        np.multiply(v[1, ...], _ONE_QUBIT["Z"][1, 1], out=v[1, ...])
+    elif kind == "H":
+        v[...] = np.tensordot(_ONE_QUBIT["H"], v, axes=(1, 0))
+    elif kind == "SWAP":
+        _exchange(v[0, 1, ...], v[1, 0, ...])
+    elif kind == "CNOT":
+        _exchange(v[1, 0, ...], v[1, 1, ...])
+    elif kind == "CZ":
+        np.multiply(v[1, 1, ...], _ONE_QUBIT["Z"][1, 1], out=v[1, 1, ...])
+    elif kind == "CU":
+        v[1, ...] = np.tensordot(gate.u, v[1, ...], axes=(1, 0))
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def apply_gate_matrix(gate: GateSpec, state: StateVector) -> StateVector:
-    """Apply one gate by slicing/contracting the [2]*N amplitude tensor."""
-    n = state.nqubits
-    for q in gate.qubits:
-        if q > n:
-            raise ValueError(
-                f"gate {gate.kind} on qubit {q} exceeds register size {n}")
-    t = state.amplitudes.reshape([2] * n).copy()
-    kind = gate.kind
-    if kind in _ONE_QUBIT:
-        t = _apply_single(t, _ONE_QUBIT[kind], gate.qubits[0] - 1)
-    elif kind == "SWAP":
-        t = np.swapaxes(t, gate.qubits[0] - 1, gate.qubits[1] - 1).copy()
-    elif kind == "CNOT":
-        c, tg = gate.qubits[0] - 1, gate.qubits[1] - 1
-        tc = np.moveaxis(t, c, 0)
-        tc[1] = np.flip(tc[1], axis=tg if tg < c else tg - 1)
-    elif kind == "CZ":
-        c, tg = gate.qubits[0] - 1, gate.qubits[1] - 1
-        tc = np.moveaxis(t, c, 0)
-        ttg = np.moveaxis(tc[1], tg if tg < c else tg - 1, 0)
-        ttg[1] = -ttg[1]
-    elif kind == "CU":
-        c, tg = gate.qubits[0] - 1, gate.qubits[1] - 1
-        tc = np.moveaxis(t, c, 0)
-        tc[1] = _apply_single(tc[1], gate.u, tg if tg < c else tg - 1)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    return StateVector(t.reshape(-1))
+    """Apply one gate to a copy of the state (Circuit checks its qubit range)."""
+    return run_circuit_matrix(Circuit(state.nqubits, (gate,)), state)
 
 
 def run_circuit_matrix(circuit: Circuit, state: StateVector) -> StateVector:
+    """Run the circuit on one copy of the input; the input is left unchanged."""
     if 2 ** circuit.nqubits != state.amplitudes.size:
         raise ValueError("circuit and state register sizes differ")
+    t = state.amplitudes.reshape([2] * state.nqubits).copy()
     for gate in circuit.gates:
-        state = apply_gate_matrix(gate, state)
-    return state
+        _apply_in_place(gate, t)
+    return StateVector(t.reshape(-1))
 
 
 def align_global_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:

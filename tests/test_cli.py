@@ -9,6 +9,7 @@ import pytest
 
 import holoqsim.cli
 import holoqsim.geometry
+from holoqsim import MAX_DENSE_QUBITS
 from holoqsim.cli import main
 from holoqsim.geometry import overlap_distance
 
@@ -27,6 +28,15 @@ def bell_files(tmp_path):
     state = tmp_path / "zero.json"
     state.write_text(ZERO2)
     return str(circ), str(state)
+
+
+@pytest.fixture
+def wide_state(tmp_path):
+    """One-amplitude state one qubit above the dense-vector limit."""
+    n = MAX_DENSE_QUBITS + 1
+    state = tmp_path / "wide_state.json"
+    state.write_text(f'{{"n": {n}, "amplitudes": {{"{"0" * n}": [1.0, 0.0]}}}}')
+    return n, str(state)
 
 
 def run_cli(capsys, *argv):
@@ -144,16 +154,39 @@ def test_diff_deterministic_bytes(bell_files, tmp_path, capsys):
     assert open(r1, "rb").read() == open(r2, "rb").read()
 
 
-def test_diff_impossible_tolerance_exits_1(bell_files, capsys):
+def test_diff_impossible_tolerance_exits_1(bell_files, capsys, monkeypatch):
     circ, state = bell_files
     code, stdout, _ = run_cli(capsys, "diff", "--circuit", circ, "--state", state,
                               "--tol", "0")
     # engines agree to rounding error; tolerance zero still trips on it
     assert code in (0, 1)  # exactly zero deviation would pass
+    # a negative --tol is refused (exit 2), so force a deviation above a valid one
+    monkeypatch.setattr(holoqsim.cli, "compare_states", lambda a, b: 1e-3)
     code, stdout, _ = run_cli(capsys, "diff", "--circuit", circ, "--state", state,
-                              "--tol", "-1")
+                              "--tol", "1e-9")
     assert code == 1
     assert "result: FAIL" in stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+def test_diff_bad_tolerance_exits_2(bell_files, capsys, tol):
+    circ, state = bell_files
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", circ,
+                                   "--state", state, "--tol", tol)
+    assert code == 2
+    assert stdout == ""
+    assert "--tol" in stderr and "finite number >= 0" in stderr
+
+
+def test_diff_register_above_dense_limit_exits_2(wide_state, tmp_path, capsys):
+    n, state = wide_state
+    circ = tmp_path / "wide.json"
+    circ.write_text(f'{{"n": {n}, "gates": [{{"kind": "X", "qubits": [{n}]}}]}}')
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", str(circ),
+                                   "--state", state)
+    assert code == 2
+    assert stdout == ""
+    assert f"{MAX_DENSE_QUBITS}-qubit limit" in stderr
 
 
 def test_diff_malformed_state_exits_2(bell_files, tmp_path, capsys):
@@ -385,6 +418,24 @@ def test_entanglement_runs_optimizer_once(tmp_path, capsys, monkeypatch):
     doc = json.loads(open(out).read())
     assert doc["entanglement_measure"] > 0.0
     assert doc["entanglement_measure"] == overlap_distance(doc["max_product_overlap"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_entanglement_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    state = tmp_path / "prod.json"
+    state.write_text(ZERO2)
+    code, stdout, stderr = run_cli(capsys, "entanglement", "--state", str(state),
+                                   "--tol", tol)
+    assert code == 2
+    assert stdout == ""
+    assert "--tol" in stderr and "finite number >= 0" in stderr
+
+
+def test_entanglement_register_above_dense_limit_exits_2(wide_state, capsys):
+    code, stdout, stderr = run_cli(capsys, "entanglement", "--state", wide_state[1])
+    assert code == 2
+    assert stdout == ""
+    assert f"{MAX_DENSE_QUBITS}-qubit limit" in stderr
 
 
 @pytest.mark.parametrize("restarts", ["0", "-3"])

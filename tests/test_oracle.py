@@ -153,3 +153,64 @@ def test_compare_states_orthogonal_reports_large():
 def test_compare_states_size_mismatch():
     with pytest.raises(ValueError):
         compare_states(np.zeros(2, dtype=complex), np.zeros(4, dtype=complex))
+
+
+# -- every kind on every qubit against a full 2^N x 2^N matrix ---------
+
+_LOCAL = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]).astype(complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / SQ2,
+    "SWAP": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def _full_matrix(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """kron(local, I) acts with the gate's qubits leading, in the gate's order;
+    relabel its rows and columns back to the register's own bit order."""
+    order = [q - 1 for q in qubits] + [j for j in range(n) if j + 1 not in qubits]
+    big = np.kron(local, np.eye(2 ** (n - len(qubits)), dtype=complex))
+    perm = [int("".join(format(i, f"0{n}b")[j] for j in order), 2)
+            for i in range(2 ** n)]
+    return big[np.ix_(perm, perm)]
+
+
+def _every_placement(n: int, rng: np.random.Generator):
+    for kind in ("X", "Y", "Z", "H"):
+        for q in range(1, n + 1):
+            yield GateSpec(kind, (q,)), _LOCAL[kind]
+    for c in range(1, n + 1):
+        for t in range(1, n + 1):
+            if c == t:
+                continue
+            for kind in ("SWAP", "CNOT", "CZ"):
+                yield GateSpec(kind, (c, t)), _LOCAL[kind]
+            u = haar_random_unitary(rng)
+            block = np.eye(4, dtype=complex)
+            block[2:, 2:] = u
+            yield GateSpec("CU", (c, t), u), block
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_kind_and_placement_matches_full_matrix(n):
+    rng = np.random.default_rng(40 + n)
+    v = random_state_vector(rng, n)
+    v_before = v.copy()
+    gates, expected = [], v.copy()
+    for gate, local in _every_placement(n, rng):
+        full = _full_matrix(local, gate.qubits, n)
+        out = apply_gate_matrix(gate, StateVector(v)).amplitudes
+        if gate.kind in ("H", "CU"):
+            assert np.max(np.abs(out - full @ v)) < 1e-14, gate
+        else:
+            # permutations and +-1, +-i phases are exact
+            assert np.array_equal(out, full @ v), gate
+        assert v.tobytes() == v_before.tobytes(), gate
+        gates.append(gate)
+        expected = full @ expected
+    out = run_circuit_matrix(Circuit(n, tuple(gates)), StateVector(v)).amplitudes
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert v.tobytes() == v_before.tobytes()

@@ -32,18 +32,20 @@ made by applying both sides to basis monomials rather than comparing term
 dictionaries.
 
 A gate touches only its own one or two pairs, so a circuit never expands
-the whole state.  `derive_block` builds the gate on a k-qubit register (its
-qubits relabelled 1..k in the gate's order), applies the operator or
-substitution to each of the 2^k basis monomials and decodes each image
-with `from_poly`, which raises on any output that is not homogeneous of
-degree one in every pair: the homogeneity claim is checked each time a
-block is derived.  Blocks of the kinds without parameters are cached per
-(kind, form); a CU block is derived from its u at each application.
+the whole state.  The gate is built on a k-qubit register (its qubits
+relabelled 1..k in the gate's order), and `derive_block` applies that
+operator or substitution to each of the 2^k basis monomials and decodes
+each image with `from_poly`, which raises on any output that is not
+homogeneous of degree one in every pair: the homogeneity claim is checked
+each time a block is derived.  Blocks of the kinds without parameters are
+cached per kind; a CU block is derived from its u at each application.
 `apply_gate` then sends every stored amplitude of the state through the
 block column that the bits of the gate's qubits select.  The full-register
 path (`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
 `to_poly`, `from_poly`) stays as the derivation and as the cross-check the
-tests compare against.
+tests compare against.  H and SWAP always run through their substitutions;
+their operator forms `hadamard_op` and `swap_op` are the tests' cross-check
+of those.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ from .holostate import (
     ZERO_TOL,
     HoloState,
     SparsePoly,
+    TermMap,
     a_index,
     b_index,
     encode_basis,
+    format_powers,
     from_poly,
 )
 
@@ -75,39 +79,29 @@ GATE_ARITY = {
 UNITARY_TOL = 1e-10
 
 
-class DiffOperator:
+class DiffOperator(TermMap):
     """Normally ordered operator: dict (mult_exponents, deriv_exponents) -> coeff.
 
     Each key is a pair of length-2N tuples; the term acts on a monomial by
     differentiating first (falling factorials) and multiplying after.
     """
 
-    __slots__ = ("nqubits", "terms")
+    __slots__ = ()
 
-    def __init__(self, nqubits: int,
-                 terms: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] | None = None):
-        if nqubits < 1:
-            raise ValueError(f"nqubits must be >= 1, got {nqubits}")
-        self.nqubits = nqubits
-        nvars = 2 * nqubits
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-        for (mult, deriv), coeff in (terms or {}).items():
-            mult, deriv = tuple(mult), tuple(deriv)
-            if len(mult) != nvars or len(deriv) != nvars:
-                raise ValueError("exponent tuples must have length 2N")
-            if any(e < 0 for e in mult) or any(e < 0 for e in deriv):
-                raise ValueError("negative exponent in operator term")
-            c = complex(coeff)
-            if abs(c) > ZERO_TOL:
-                key = (mult, deriv)
-                clean[key] = clean.get(key, 0j) + c
-                if abs(clean[key]) <= ZERO_TOL:
-                    del clean[key]
-        self.terms = clean
+    @staticmethod
+    def _check_key(key, nvars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        mult, deriv = key
+        mult, deriv = tuple(mult), tuple(deriv)
+        if len(mult) != nvars or len(deriv) != nvars:
+            raise ValueError("exponent tuples must have length 2N")
+        if any(e < 0 for e in mult) or any(e < 0 for e in deriv):
+            raise ValueError("negative exponent in operator term")
+        return mult, deriv
 
-    @classmethod
-    def zero(cls, nqubits: int) -> "DiffOperator":
-        return cls(nqubits, {})
+    @staticmethod
+    def _monomial(key: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
+        mult, deriv = key
+        return "*".join(x for x in (format_powers("z", mult), format_powers("d", deriv)) if x)
 
     @classmethod
     def identity(cls, nqubits: int, coeff: complex = 1.0 + 0j) -> "DiffOperator":
@@ -130,50 +124,10 @@ class DiffOperator:
         deriv[dvar] = 1
         return cls.term(nqubits, coeff, tuple(mult), tuple(deriv))
 
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.nqubits != other.nqubits:
-            raise ValueError("register mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0j) + c
-        return DiffOperator(self.nqubits, out)
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "DiffOperator":
-        return (-1.0) * self
-
-    def __mul__(self, scalar) -> "DiffOperator":
-        return DiffOperator(self.nqubits,
-                            {k: complex(scalar) * c for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.nqubits == other.nqubits and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"DiffOperator(n={self.nqubits}, 0)"
-        parts = []
-        for mult, deriv in sorted(self.terms):
-            c = self.terms[(mult, deriv)]
-            zs = "*".join(f"z{k}^{e}" if e > 1 else f"z{k}"
-                          for k, e in enumerate(mult) if e)
-            ds = "*".join(f"d{k}^{e}" if e > 1 else f"d{k}"
-                          for k, e in enumerate(deriv) if e)
-            body = "*".join(x for x in (zs, ds) if x) or "1"
-            parts.append(f"({c:.6g})*{body}")
-        return f"DiffOperator(n={self.nqubits}, " + " + ".join(parts) + ")"
-
 
 def apply_diffop(op: DiffOperator, poly: SparsePoly) -> SparsePoly:
     """Apply an operator term by term via falling factorials on monomials."""
-    if op.nqubits != poly.nqubits:
-        raise ValueError("register mismatch between operator and polynomial")
+    op._require_same_register(poly)
     out: dict[tuple[int, ...], complex] = {}
     for (mult, deriv), oc in op.terms.items():
         for expo, pc in poly.terms.items():
@@ -197,8 +151,7 @@ def compose(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
     through the outer multiplication block z^m2 one variable at a time:
     d^d z^m = sum_i C(d, i) (m falling i) z^(m-i) d^(d-i).
     """
-    if op1.nqubits != op2.nqubits:
-        raise ValueError("register mismatch")
+    op1._require_same_register(op2)
     nvars = 2 * op1.nqubits
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     for (m1, d1), c1 in op1.terms.items():
@@ -234,10 +187,6 @@ class Substitution:
         self.matrix = m
 
     @classmethod
-    def identity(cls, nqubits: int) -> "Substitution":
-        return cls(nqubits, np.eye(2 * nqubits, dtype=complex))
-
-    @classmethod
     def hadamard(cls, nqubits: int, qubit: int) -> "Substitution":
         """z_a -> (z_a + z_b)/sqrt(2), z_b -> (z_a - z_b)/sqrt(2) on one pair."""
         m = np.eye(2 * nqubits, dtype=complex)
@@ -260,8 +209,7 @@ class Substitution:
 
 def apply_substitution(sub: Substitution, poly: SparsePoly) -> SparsePoly:
     """Expand f(M z) by raising each substituted linear form to its exponent."""
-    if sub.nqubits != poly.nqubits:
-        raise ValueError("register mismatch")
+    poly._require_same_register(sub)
     nvars = 2 * poly.nqubits
     linear_forms = []
     for k in range(nvars):
@@ -421,16 +369,13 @@ def swap_op(qubit1: int, qubit2: int, nqubits: int) -> DiffOperator:
     return 0.5 * (one + xx + yy + zz)
 
 
-def gate_operator(gate: GateSpec, nqubits: int,
-                  form: str = "default") -> DiffOperator | Substitution:
+def gate_operator(gate: GateSpec, nqubits: int) -> DiffOperator | Substitution:
     """Representation of a gate on an N-qubit register.
 
-    H and SWAP default to their exact Substitution form; pass form="diffop"
-    to get them as differential operators instead.  Everything else is a
-    DiffOperator.
+    H and SWAP are their exact Substitution forms (`hadamard_op` and
+    `swap_op` are the operator twins the tests check them against);
+    everything else is a DiffOperator.
     """
-    if form not in ("default", "diffop"):
-        raise ValueError(f"unknown form {form!r}")
     k, qs = gate.kind, gate.qubits
     if k == "X":
         return pauli_x(nqubits, qs[0])
@@ -439,12 +384,8 @@ def gate_operator(gate: GateSpec, nqubits: int,
     if k == "Z":
         return pauli_z(nqubits, qs[0])
     if k == "H":
-        if form == "diffop":
-            return hadamard_op(nqubits, qs[0])
         return Substitution.hadamard(nqubits, qs[0])
     if k == "SWAP":
-        if form == "diffop":
-            return swap_op(qs[0], qs[1], nqubits)
         return Substitution.swap(nqubits, qs[0], qs[1])
     if k == "CNOT":
         return cnot_op(qs[0], qs[1], nqubits)
@@ -460,15 +401,19 @@ def gate_operator(gate: GateSpec, nqubits: int,
 GateBlock = dict[str, tuple[tuple[str, complex], ...]]
 
 
-def derive_block(gate: GateSpec, form: str = "default") -> GateBlock:
-    """Block of a gate, derived from its operator on a k-qubit register.
+def _local_operator(kind: str, u: np.ndarray | None = None) -> DiffOperator | Substitution:
+    """A gate's operator on a register of its own k qubits, relabelled 1..k in its order."""
+    k = GATE_ARITY[kind]
+    return gate_operator(GateSpec(kind, tuple(range(1, k + 1)), u), k)
 
-    The gate's qubits are relabelled 1..k in the gate's own order, the
-    operator is applied to each of the 2^k basis monomials, and each image
-    is decoded with `from_poly`, which raises on any non-physical output.
+
+def derive_block(op: DiffOperator | Substitution) -> GateBlock:
+    """Block of a k-qubit operator: its images of the 2^k basis monomials.
+
+    Each image is decoded with `from_poly`, which raises on any
+    non-physical output.
     """
-    k = len(gate.qubits)
-    op = gate_operator(GateSpec(gate.kind, tuple(range(1, k + 1)), gate.u), k, form)
+    k = op.nqubits
     apply = apply_substitution if isinstance(op, Substitution) else apply_diffop
     block = {}
     for col in range(2 ** k):
@@ -479,22 +424,21 @@ def derive_block(gate: GateSpec, form: str = "default") -> GateBlock:
 
 
 @functools.cache
-def _fixed_block(kind: str, form: str) -> GateBlock:
-    """Block of a gate without parameters; at most 2 forms x 7 kinds."""
-    return derive_block(GateSpec(kind, tuple(range(1, GATE_ARITY[kind] + 1))), form)
+def _fixed_block(kind: str) -> GateBlock:
+    """Block of a gate without parameters; one per kind, at most 7."""
+    return derive_block(_local_operator(kind))
 
 
-def apply_gate(gate: GateSpec, state: HoloState,
-               form: str = "default") -> HoloState:
+def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     """Apply a gate's local block to the amplitude map of a state."""
     for q in gate.qubits:
         if q > state.nqubits:
             raise ValueError(
                 f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
     if gate.kind == "CU":
-        block = derive_block(gate, form)
+        block = derive_block(_local_operator("CU", gate.u))
     else:
-        block = _fixed_block(gate.kind, form)
+        block = _fixed_block(gate.kind)
     positions = [q - 1 for q in gate.qubits]
     out: dict[str, complex] = {}
     for bits, amp in state.amplitudes.items():
@@ -507,14 +451,13 @@ def apply_gate(gate: GateSpec, state: HoloState,
     return HoloState(state.nqubits, out)
 
 
-def run_circuit_holo(circuit: Circuit, state: HoloState,
-                     form: str = "default") -> HoloState:
+def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     """Fold a circuit over a state, gate by gate, in the polynomial picture."""
     if circuit.nqubits != state.nqubits:
         raise ValueError(
             f"circuit is for {circuit.nqubits} qubit(s), state has {state.nqubits}")
     for gate in circuit.gates:
-        state = apply_gate(gate, state, form=form)
+        state = apply_gate(gate, state)
     return state
 
 

@@ -151,14 +151,20 @@ def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
     return amps
 
 
-def state_from_obj(doc, where: str = "state") -> HoloState:
+def _register_size(doc, key: str, where: str) -> int:
+    """The positive integer "n" of a document that must also hold `key`."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: document must be a JSON object")
-    if "n" not in doc or "amplitudes" not in doc:
-        raise FormatError(f'{where}: required keys are "n" and "amplitudes"')
+    if "n" not in doc or key not in doc:
+        raise FormatError(f'{where}: required keys are "n" and "{key}"')
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError(f'{where}: "n" must be a positive integer')
+    return n
+
+
+def state_from_obj(doc, where: str = "state") -> HoloState:
+    n = _register_size(doc, "amplitudes", where)
     amps = _amplitudes_from_obj(doc["amplitudes"], n, where)
     return HoloState(n, amps)
 
@@ -181,13 +187,7 @@ def save_state(path: str, state: HoloState) -> None:
 
 
 def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: document must be a JSON object")
-    if "n" not in doc or "gates" not in doc:
-        raise FormatError(f'{where}: required keys are "n" and "gates"')
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f'{where}: "n" must be a positive integer')
+    n = _register_size(doc, "gates", where)
     if not isinstance(doc["gates"], list):
         raise FormatError(f'{where}: "gates" must be a list')
     gates = []
@@ -251,11 +251,7 @@ def save_circuit(path: str, circuit: Circuit) -> None:
 
 def load_loop(path: str) -> StateLoop:
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "n" not in doc or "states" not in doc:
-        raise FormatError(f'{path}: required keys are "n" and "states"')
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f'{path}: "n" must be a positive integer')
+    n = _register_size(doc, "states", path)
     if not isinstance(doc["states"], list):
         raise FormatError(f'{path}: "states" must be a list')
     states = []

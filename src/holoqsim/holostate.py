@@ -57,42 +57,111 @@ def _check_qubit(qubit: int, nqubits: int) -> None:
         raise ValueError(f"qubit index {qubit} out of range 1..{nqubits}")
 
 
-class SparsePoly:
-    """Sparse polynomial in the 2N pair variables of an N-qubit register.
+def format_powers(prefix: str, expo: tuple[int, ...]) -> str:
+    """Power product such as "z0^2*z1" of an exponent tuple; "" when all are 0."""
+    return "*".join(f"{prefix}{k}^{e}" if e > 1 else f"{prefix}{k}"
+                    for k, e in enumerate(expo) if e)
 
-    Terms are stored as a dict mapping exponent tuples (length 2N, entries
-    >= 0) to complex coefficients.  Coefficients with magnitude <= ZERO_TOL
-    are pruned on construction and after every arithmetic operation, so a
-    polynomial that cancels to zero compares equal to `SparsePoly.zero`.
+
+class TermMap:
+    """Sparse map from exponent keys to complex coefficients on N qubits.
+
+    The shared core of `SparsePoly` and `diffop.DiffOperator`.  A subclass
+    fixes the key shape with `_check_key(key, nvars)`, which returns the key
+    in canonical form or raises ValueError, and names a key in `__repr__`
+    with `_monomial(key)`.  Repeated keys are summed, coefficients with
+    magnitude <= ZERO_TOL are pruned on construction and after every
+    arithmetic operation (so a map that cancels to zero compares equal to
+    `zero`), and a non-finite coefficient raises ValueError naming its key.
     """
 
     __slots__ = ("nqubits", "terms")
 
-    def __init__(self, nqubits: int, terms: dict[tuple[int, ...], complex] | None = None):
+    def __init__(self, nqubits: int, terms: dict | None = None):
         if nqubits < 1:
             raise ValueError(f"nqubits must be >= 1, got {nqubits}")
         self.nqubits = nqubits
         nvars = 2 * nqubits
-        clean: dict[tuple[int, ...], complex] = {}
-        for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars:
-                raise ValueError(
-                    f"exponent tuple {expo} has length {len(expo)}, expected {nvars}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
+        check_key = self._check_key
+        clean: dict = {}
+        for key, coeff in (terms or {}).items():
+            key = check_key(key, nvars)
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of {key} is not finite: {c}")
             if abs(c) > ZERO_TOL:
-                clean[expo] = clean.get(expo, 0j) + c
-                if abs(clean[expo]) <= ZERO_TOL:
-                    del clean[expo]
+                clean[key] = clean.get(key, 0j) + c
+                if abs(clean[key]) <= ZERO_TOL:
+                    del clean[key]
         self.terms = clean
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
-    def zero(cls, nqubits: int) -> "SparsePoly":
+    def zero(cls, nqubits: int):
         return cls(nqubits, {})
+
+    def _require_same_register(self, other) -> None:
+        if self.nqubits != other.nqubits:
+            raise ValueError(
+                f"register mismatch: {self.nqubits} vs {other.nqubits} qubits")
+
+    def __add__(self, other):
+        self._require_same_register(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0j) + c
+        return type(self)(self.nqubits, out)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __mul__(self, scalar):
+        return type(self)(self.nqubits,
+                          {key: complex(scalar) * c for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        return self * scalar
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nqubits == other.nqubits and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(n={self.nqubits}, 0)"
+        parts = [f"({self.terms[key]:.6g})*{self._monomial(key) or '1'}"
+                 for key in sorted(self.terms)]
+        return f"{name}(n={self.nqubits}, " + " + ".join(parts) + ")"
+
+
+class SparsePoly(TermMap):
+    """Sparse polynomial in the 2N pair variables of an N-qubit register.
+
+    Terms map exponent tuples (length 2N, entries >= 0) to complex
+    coefficients.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(expo, nvars: int) -> tuple[int, ...]:
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != nvars:
+            raise ValueError(
+                f"exponent tuple {expo} has length {len(expo)}, expected {nvars}")
+        if any(e < 0 for e in expo):
+            raise ValueError(f"negative exponent in {expo}")
+        return expo
+
+    @staticmethod
+    def _monomial(expo: tuple[int, ...]) -> str:
+        return format_powers("z", expo)
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def one(cls, nqubits: int) -> "SparsePoly":
@@ -114,46 +183,16 @@ class SparsePoly:
 
     # -- algebra ------------------------------------------------------
 
-    def _require_same_register(self, other: "SparsePoly") -> None:
-        if self.nqubits != other.nqubits:
-            raise ValueError(
-                f"register mismatch: {self.nqubits} vs {other.nqubits} qubits")
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._require_same_register(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            out[expo] = out.get(expo, 0j) + c
-        return SparsePoly(self.nqubits, out)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "SparsePoly":
-        return (-1.0) * self
-
     def __mul__(self, other):
-        if isinstance(other, SparsePoly):
-            self._require_same_register(other)
-            out: dict[tuple[int, ...], complex] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    out[key] = out.get(key, 0j) + c1 * c2
-            return SparsePoly(self.nqubits, out)
-        return SparsePoly(self.nqubits,
-                          {e: complex(other) * c for e, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "SparsePoly":
-        return self * scalar
-
-    def __pow__(self, k: int) -> "SparsePoly":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = SparsePoly.one(self.nqubits)
-        for _ in range(k):
-            out = out * self
-        return out
+        if not isinstance(other, SparsePoly):
+            return super().__mul__(other)
+        self._require_same_register(other)
+        out: dict[tuple[int, ...], complex] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                out[key] = out.get(key, 0j) + c1 * c2
+        return SparsePoly(self.nqubits, out)
 
     # -- queries ------------------------------------------------------
 
@@ -164,28 +203,12 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.nqubits == other.nqubits and self.terms == other.terms
-
     def max_coeff_diff(self, other: "SparsePoly") -> float:
         self._require_same_register(other)
         keys = self.terms.keys() | other.terms.keys()
         if not keys:
             return 0.0
         return max(abs(self.terms.get(e, 0j) - other.terms.get(e, 0j)) for e in keys)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"SparsePoly(n={self.nqubits}, 0)"
-        parts = []
-        for expo in sorted(self.terms):
-            c = self.terms[expo]
-            mono = "*".join(f"z{k}^{e}" if e > 1 else f"z{k}"
-                            for k, e in enumerate(expo) if e) or "1"
-            parts.append(f"({c:.6g})*{mono}")
-        return f"SparsePoly(n={self.nqubits}, " + " + ".join(parts) + ")"
 
 
 class HoloState:

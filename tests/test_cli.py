@@ -484,6 +484,20 @@ def test_holonomy_too_coarse_exits_2(capsys):
     assert code == 2
 
 
+def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
+    states = [{"0": [1.0, 0.0]}] * 17
+    states[1] = {"1": [1.0, 0.0]}  # orthogonal to its neighbours
+    loop = tmp_path / "coarse.json"
+    loop.write_text(json.dumps({"n": 1, "states": states}))
+    cases = [
+        (("--loop", str(loop)), "error: consecutive overlap at segment 0 has magnitude 0; "
+                                "loop too coarse for a well-defined holonomy\n"),
+        (("--theta", "1.0", "--samples", "10"), "error: need at least 16 segments\n"),
+    ]
+    for args, message in cases:
+        assert run_cli(capsys, "holonomy", *args) == (2, "", message)
+
+
 def test_holonomy_requires_exactly_one_source(capsys):
     code, _, _ = run_cli(capsys, "holonomy")
     assert code == 2

@@ -33,6 +33,7 @@ from holoqsim.diffop import (
     GATE_ARITY,
     cnot_op,
     cz_op,
+    derive_block,
     hadamard_op,
     pauli_x,
     pauli_y,
@@ -258,6 +259,39 @@ def test_unitarity_checks_reject_non_finite_blocks(bad):
 # -- gate specs and circuits ------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diffop_rejects_non_finite_coefficients(bad):
+    z = (0, 0)
+    with pytest.raises(ValueError, match=r"coefficient of \(\(0, 0\), \(0, 0\)\) is not finite"):
+        DiffOperator(1, {((1, 0), (0, 1)): 1.0, (z, z): bad})
+    with pytest.raises(ValueError, match="not finite"):
+        pauli_x(1, 1) * bad
+
+
+def test_apply_diffop_refuses_non_finite_images():
+    op = pauli_x(1, 1)
+    for key in op.terms:
+        op.terms[key] = complex(np.nan)  # a NaN that got past the constructor
+    with pytest.raises(ValueError, match="not finite"):
+        apply_diffop(op, encode_basis("0"))
+    with pytest.raises(ValueError, match="not finite"):  # 1e200 * 1e200 overflows
+        apply_diffop(1e200 * pauli_x(1, 1), 1e200 * encode_basis("0"))
+
+
+def test_register_mismatch_names_both_sizes():
+    one, two = pauli_x(1, 1), pauli_x(2, 1)
+    calls = [
+        lambda: one + two,
+        lambda: compose(one, two),
+        lambda: apply_diffop(one, encode_basis("01")),
+        lambda: apply_substitution(Substitution.hadamard(2, 1), encode_basis("0")),
+        lambda: encode_basis("0") * encode_basis("01"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="register mismatch: 1 vs 2 qubits"):
+            call()
+
+
 def test_gatespec_validation():
     with pytest.raises(ValueError):
         GateSpec("Q", (1,))
@@ -279,8 +313,6 @@ def test_circuit_rejects_out_of_range_qubits():
 def test_gate_operator_default_forms():
     assert isinstance(gate_operator(GateSpec("H", (1,)), 1), Substitution)
     assert isinstance(gate_operator(GateSpec("SWAP", (1, 2)), 2), Substitution)
-    assert isinstance(gate_operator(GateSpec("H", (1,)), 1, form="diffop"),
-                      DiffOperator)
     assert isinstance(gate_operator(GateSpec("X", (1,)), 1), DiffOperator)
 
 
@@ -379,13 +411,14 @@ def test_matches_oracle_on_random_circuits():
 
 
 def test_diffop_form_matches_substitution_form():
-    rng = np.random.default_rng(31)
-    psi = encode_state(random_state_vector(rng, 2))
-    circ = Circuit(2, (GateSpec("H", (1,)), GateSpec("SWAP", (1, 2)),
-                       GateSpec("H", (2,))))
-    a = run_circuit_holo(circ, psi, form="default")
-    b = run_circuit_holo(circ, psi, form="diffop")
-    assert compare_states(a.to_vector(), b.to_vector()) < 1e-10
+    for op, sub in ((hadamard_op(1, 1), Substitution.hadamard(1, 1)),
+                    (swap_op(1, 2, 2), Substitution.swap(2, 1, 2))):
+        a, b = derive_block(op), derive_block(sub)
+        assert a.keys() == b.keys()
+        for bits in a:
+            col_a, col_b = dict(a[bits]), dict(b[bits])
+            assert col_a.keys() == col_b.keys()
+            assert all(abs(col_a[r] - col_b[r]) < 1e-15 for r in col_a)
 
 
 def test_haar_random_unitary_is_unitary():
@@ -398,10 +431,19 @@ def test_haar_random_unitary_is_unitary():
 # -- compiled blocks against the full-register algebra ----------------
 
 
-def run_circuit_symbolic(circuit, state):
+def operator_twin(gate, nqubits):
+    """The gate as a DiffOperator, with H and SWAP in their operator forms."""
+    if gate.kind == "H":
+        return hadamard_op(nqubits, gate.qubits[0])
+    if gate.kind == "SWAP":
+        return swap_op(gate.qubits[0], gate.qubits[1], nqubits)
+    return gate_operator(gate, nqubits)
+
+
+def run_circuit_symbolic(circuit, state, operator=gate_operator):
     """Each gate as an operator on the whole register, applied to the polynomial."""
     for gate in circuit.gates:
-        op = gate_operator(gate, circuit.nqubits)
+        op = operator(gate, circuit.nqubits)
         poly = to_poly(state)
         out = (apply_substitution(op, poly) if isinstance(op, Substitution)
                else apply_diffop(op, poly))
@@ -440,7 +482,7 @@ def test_compiled_blocks_match_symbolic_oracle_and_diffop_form(case):
     references = [
         run_circuit_symbolic(circ, psi).to_vector(),
         run_circuit_matrix(circ, StateVector(v0)).amplitudes,
-        run_circuit_holo(circ, psi, form="diffop").to_vector(),
+        run_circuit_symbolic(circ, psi, operator_twin).to_vector(),
     ]
     for ref in references:
         assert np.max(np.abs(compiled - ref)) < 1e-10

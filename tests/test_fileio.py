@@ -180,6 +180,22 @@ def test_loop_rejects_open(tmp_path):
         load_loop(path)
 
 
+@pytest.mark.parametrize("load, key", [(load_state, "amplitudes"),
+                                       (load_circuit, "gates"), (load_loop, "states")])
+def test_loaders_share_register_header_checks(tmp_path, load, key):
+    cases = [
+        ("[1]", "document must be a JSON object"),
+        ('{"n": 1}', f'required keys are "n" and "{key}"'),
+        ('{"n": true, "%s": []}' % key, '"n" must be a positive integer'),
+        ('{"n": 0, "%s": []}' % key, '"n" must be a positive integer'),
+    ]
+    for text, message in cases:
+        path = write(tmp_path, "doc.json", text)
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
 # -- trajectories -----------------------------------------------------
 
 

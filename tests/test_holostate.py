@@ -168,6 +168,16 @@ def test_sparsepoly_rejects_bad_exponents():
         SparsePoly(1, {(-1, 0): 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_sparsepoly_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match=r"coefficient of \(0, 1\) is not finite"):
+        SparsePoly(1, {(1, 0): 1.0, (0, 1): bad})
+    with pytest.raises(ValueError, match="not finite"):
+        SparsePoly.one(1) * bad
+    with pytest.raises(ValueError, match="not finite"):
+        bad * SparsePoly.variable(1, 0)
+
+
 def test_holostate_norm_flag():
     assert HoloState(1, {"0": 1.0}).is_normalized
     assert not HoloState(1, {"0": 0.5}).is_normalized

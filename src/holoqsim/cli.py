@@ -43,6 +43,7 @@ from .geometry import (
     maximize_product_overlap,
     overlap_distance,
 )
+from .holostate import norm_rows
 from .oracle import StateVector, compare_states, run_circuit_matrix
 from .semiclassical import pauli_hamiltonian, propagator
 from .torus import (GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow,
@@ -242,13 +243,14 @@ def cmd_classical_evolve(args) -> int:
         cols += [f"re_a_{j}", f"im_a_{j}", f"re_b_{j}", f"im_b_{j}"]
     cols += ["energy", "norm"]
     lines = [", ".join(cols)]
-    for t in times:
-        z = propagator(ham, t) @ z0
+    zs = propagator(ham, np.array(times)) @ z0
+    energies = ham.energy(zs).tolist()
+    norms = norm_rows(zs).tolist()
+    for t, z, energy, norm in zip(times, zs, energies, norms):
         row = [format_float(t)]
-        for val in z:
+        for val in z.tolist():
             row += [format_float(val.real), format_float(val.imag)]
-        row.append(format_float(ham.energy(z)))
-        row.append(format_float(float(np.linalg.norm(z))))
+        row += [format_float(energy), format_float(norm)]
         lines.append(", ".join(row))
     text = "\n".join(lines) + "\n"
     atomic_write_text(args.out, text)

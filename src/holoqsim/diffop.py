@@ -67,6 +67,7 @@ from .holostate import (
     encode_basis,
     format_powers,
     from_poly,
+    integral_exponents,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -91,7 +92,7 @@ class DiffOperator(TermMap):
     @staticmethod
     def _check_key(key, nvars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         mult, deriv = key
-        mult, deriv = tuple(mult), tuple(deriv)
+        mult, deriv = integral_exponents(mult, key), integral_exponents(deriv, key)
         if len(mult) != nvars or len(deriv) != nvars:
             raise ValueError("exponent tuples must have length 2N")
         if any(e < 0 for e in mult) or any(e < 0 for e in deriv):

@@ -18,7 +18,8 @@ Circuit file (JSON):
 Unknown kinds are an error naming the kind, never skipped.
 
 Loop file (JSON): {"n": 1, "states": [<amplitudes object>, ...]} with the
-closing state repeating the first.
+closing state repeating the first.  It loads into one dense (M+1, 2^N)
+array, so "n" above MAX_DENSE_QUBITS is refused before allocation.
 
 Trajectory file (CSV): header "t, phi_a_1, phi_b_1, ..., sum_phase_1, ..."
 then one row per sample.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .diffop import GATE_ARITY, Circuit, GateSpec
 from .geometry import StateLoop
-from .holostate import HoloState
+from .holostate import HoloState, require_dense
 from .torus import Trajectory
 
 
@@ -254,12 +255,15 @@ def load_loop(path: str) -> StateLoop:
     n = _register_size(doc, "states", path)
     if not isinstance(doc["states"], list):
         raise FormatError(f'{path}: "states" must be a list')
-    states = []
-    for idx, obj in enumerate(doc["states"]):
-        amps = _amplitudes_from_obj(obj, n, f"{path}: state {idx}")
-        states.append(HoloState(n, amps))
+    states = [_amplitudes_from_obj(obj, n, f"{path}: state {idx}")
+              for idx, obj in enumerate(doc["states"])]
     try:
-        return StateLoop(tuple(states))
+        require_dense(n)
+        vectors = np.zeros((len(states), 2 ** n), dtype=complex)
+        for row, amps in zip(vectors, states):
+            for bits, amp in amps.items():
+                row[int(bits, 2)] = amp
+        return StateLoop(vectors)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}")
 
@@ -274,10 +278,11 @@ def trajectory_csv_text(traj: Trajectory) -> str:
         cols += [f"phi_a_{j}", f"phi_b_{j}"]
     cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
     lines = [", ".join(cols)]
-    for i in range(traj.nsamples):
-        row = [format_float(traj.times[i])]
-        row += [format_float(x) for x in traj.phases[i]]
-        row += [format_float(x) for x in traj.sum_phases[i]]
+    for t, phases, sums in zip(traj.times.tolist(), traj.phases.tolist(),
+                               traj.sum_phases.tolist()):
+        row = [format_float(t)]
+        row += [format_float(x) for x in phases]
+        row += [format_float(x) for x in sums]
         lines.append(", ".join(row))
     return "\n".join(lines) + "\n"
 

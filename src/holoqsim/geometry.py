@@ -25,6 +25,9 @@ The Berry phase of a closed loop of states is accumulated discretely:
 
     gamma = -arg prod_k <psi_k | psi_k+1>    (cyclically, psi_M = psi_0).
 
+A loop is held as one array of amplitude vectors, one row per state, so
+all M overlaps come from a single contraction.
+
 Under per-state phase changes psi_k -> e^(i alpha_k) psi_k each factor
 picks up e^(i(alpha_k+1 - alpha_k)) and the cyclic product telescopes to
 exactly 1, so the holonomy is gauge invariant to rounding error only.
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holostate import NORM_TOL, HoloState, encode_state
+from .holostate import NORM_TOL, ZERO_TOL, HoloState, encode_state, norm_rows, vdot_rows
 
 # Below this gap from overlap 1, arccos amplifies one ulp of rounding to
 # ~1.5e-8, so overlaps this close to 1 are snapped before taking arccos.
@@ -236,31 +239,46 @@ def schmidt_oracle(psi: HoloState) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class StateLoop:
-    """Closed discrete loop of normalized states; last entry repeats the first."""
+    """Closed discrete loop of normalized states; the last row repeats the first.
 
-    states: tuple[HoloState, ...]
+    `vectors` is one (M+1, 2^N) complex array whose row k is the flat
+    big-endian amplitude vector of state k.  As for HoloState, non-finite
+    amplitudes raise and those at or below ZERO_TOL are zeroed.
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self):
-        sts = tuple(self.states)
-        object.__setattr__(self, "states", sts)
-        if len(sts) < MIN_LOOP_SAMPLES + 1:
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.ndim != 2 or v.shape[1] < 2 or v.shape[1] & (v.shape[1] - 1):
+            raise ValueError(
+                f"loop vectors must form an (M+1, 2^N) array, got shape {v.shape}")
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            k, col = bad[0]
+            bits = format(col, f"0{v.shape[1].bit_length() - 1}b")
+            raise ValueError(f"amplitude of {bits!r} is not finite: {complex(v[k, col])}")
+        v = np.where(np.abs(v) > ZERO_TOL, v, 0j)
+        object.__setattr__(self, "vectors", v)
+        if len(v) < MIN_LOOP_SAMPLES + 1:
             raise ValueError(
                 f"loop needs at least {MIN_LOOP_SAMPLES} segments "
-                f"({MIN_LOOP_SAMPLES + 1} stored states), got {len(sts)}")
-        n = sts[0].nqubits
-        for s in sts:
-            if s.nqubits != n:
-                raise ValueError("loop states live on different registers")
-            _require_normalized(s, "loop state")
-        first, last = sts[0].to_vector(), sts[-1].to_vector()
-        gap = abs(abs(np.vdot(first, last)) - 1.0)
+                f"({MIN_LOOP_SAMPLES + 1} stored states), got {len(v)}")
+        with np.errstate(over="ignore"):  # a huge amplitude gives norm inf, refused below
+            norms = norm_rows(v)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+        if off.size:
+            raise ValueError(
+                f"loop state is not normalized: |norm - 1| = "
+                f"{abs(norms[off[0]] - 1.0):.3g} exceeds {NORM_TOL:g}")
+        gap = abs(abs(np.vdot(v[0], v[-1])) - 1.0)
         if gap > 1e-9:
             raise ValueError(
                 f"loop does not close: end-to-start overlap magnitude is {gap:.3g} from 1")
 
     @property
     def segments(self) -> int:
-        return len(self.states) - 1
+        return len(self.vectors) - 1
 
 
 def berry_holonomy(loop: StateLoop) -> float:
@@ -268,16 +286,16 @@ def berry_holonomy(loop: StateLoop) -> float:
 
     The stored closing duplicate is dropped and the product closed
     cyclically back to the first state, which is what makes per-state
-    gauge changes cancel exactly.  Consecutive overlaps too close to zero
-    mean the discretization is too coarse to define the phase; those raise.
+    gauge changes cancel exactly.  All consecutive overlaps come from one
+    contraction; their phases are multiplied in loop order.  Consecutive
+    overlaps too close to zero mean the discretization is too coarse to
+    define the phase; those raise.
     Returned phase lies in (-pi, pi]; near the branch point +-pi the sign
     is a coin toss of rounding, so compare holonomies circularly.
     """
-    vecs = [s.to_vector() for s in loop.states[:-1]]
-    m = len(vecs)
+    vecs = loop.vectors[:-1]
     phase = 1.0 + 0j
-    for k in range(m):
-        olap = complex(np.vdot(vecs[k], vecs[(k + 1) % m]))
+    for k, olap in enumerate(vdot_rows(vecs, np.roll(vecs, -1, axis=0)).tolist()):
         mag = abs(olap)
         if mag <= LOOP_OVERLAP_FLOOR:
             raise ValueError(
@@ -298,9 +316,9 @@ def bloch_circle_loop(theta: float, segments: int) -> StateLoop:
         raise ValueError(f"need at least {MIN_LOOP_SAMPLES} segments")
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    states = []
+    rows = []
     for k in range(segments):
         phi = 2.0 * math.pi * k / segments
-        states.append(encode_state(np.array([c, s * cmath.exp(1j * phi)])))
-    states.append(encode_state(np.array([c, s])))
-    return StateLoop(tuple(states))
+        rows.append((c, s * cmath.exp(1j * phi)))
+    rows.append((c, s))
+    return StateLoop(np.array(rows, dtype=complex))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -55,6 +56,39 @@ def b_index(qubit: int) -> int:
 def _check_qubit(qubit: int, nqubits: int) -> None:
     if not 1 <= qubit <= nqubits:
         raise ValueError(f"qubit index {qubit} out of range 1..{nqubits}")
+
+
+def require_dense(nqubits: int) -> None:
+    """Raise ValueError when a register is above MAX_DENSE_QUBITS.
+
+    Call it before allocating any 2^N amplitude array.
+    """
+    if nqubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"{nqubits} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit "
+            f"for dense 2^N amplitude vectors")
+
+
+def vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot of matching rows (last axis) of two stacks, bitwise equal to it.
+
+    The stacked matmul reduces each row in np.vdot's order; np.einsum and
+    (conj(a) * b).sum() do not, and move the last digits.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm_rows(v: np.ndarray) -> np.ndarray:
+    """2-norm of each row (last axis) of a complex stack, bitwise equal to np.linalg.norm."""
+    return np.sqrt(vdot_rows(v.real, v.real) + vdot_rows(v.imag, v.imag))
+
+
+def integral_exponents(expo, key) -> tuple[int, ...]:
+    """expo as a tuple of ints; a non-integral entry raises ValueError naming key."""
+    try:
+        return tuple(operator.index(e) for e in expo)
+    except TypeError:
+        raise ValueError(f"non-integral exponent in {key}") from None
 
 
 def format_powers(prefix: str, expo: tuple[int, ...]) -> str:
@@ -149,7 +183,7 @@ class SparsePoly(TermMap):
 
     @staticmethod
     def _check_key(expo, nvars: int) -> tuple[int, ...]:
-        expo = tuple(int(e) for e in expo)
+        expo = integral_exponents(expo, expo)
         if len(expo) != nvars:
             raise ValueError(
                 f"exponent tuple {expo} has length {len(expo)}, expected {nvars}")
@@ -250,10 +284,7 @@ class HoloState:
         N = 18: in the oracle's H and CU contractions and in compare_states),
         so 24 qubits peak at 1 GiB and each qubit more doubles it.
         """
-        if self.nqubits > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"{self.nqubits} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit "
-                f"for dense 2^N amplitude vectors")
+        require_dense(self.nqubits)
         v = np.zeros(2 ** self.nqubits, dtype=complex)
         for bits, amp in self.amplitudes.items():
             v[int(bits, 2)] = amp

@@ -228,33 +228,23 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     """
     start._check(spec.qubit)
     nfull, rem = fixed_steps(spec.t_final, spec.dt)
-    nsamples = nfull + 1 + (1 if rem else 0)
+    ja = 2 * (spec.qubit - 1)
+    pa, pb = start.phases[ja], start.phases[ja + 1]
+
+    pairs = [(pa, pb)]
+    for _ in range(nfull):
+        pa, pb = _rk4_step(spec.generator, pa, pb, spec.dt)
+        pairs.append((pa, pb))
+    times = [k * spec.dt for k in range(nfull + 1)]
+    if rem:
+        pairs.append(_rk4_step(spec.generator, pa, pb, rem))
+        times.append(spec.t_final)
 
     n = start.nqubits
-    times = np.empty(nsamples)
-    phases = np.empty((nsamples, 2 * n))
-    sums = np.empty((nsamples, n))
-
-    base = np.array(start.phases)
-    base_sums = np.array([start.sigma(j) for j in range(1, n + 1)])
-    ja = 2 * (spec.qubit - 1)
-    pa, pb = float(base[ja]), float(base[ja + 1])
-
-    def record(i: int, t: float, a: float, b: float) -> None:
-        times[i] = t
-        phases[i] = base
-        phases[i, ja] = wrap_angle(a)
-        phases[i, ja + 1] = wrap_angle(b)
-        sums[i] = base_sums
-        sums[i, spec.qubit - 1] = a + b
-
-    record(0, 0.0, pa, pb)
-    for k in range(1, nfull + 1):
-        pa, pb = _rk4_step(spec.generator, pa, pb, spec.dt)
-        record(k, k * spec.dt, pa, pb)
-    if rem:
-        pa, pb = _rk4_step(spec.generator, pa, pb, rem)
-        record(nsamples - 1, spec.t_final, pa, pb)
+    phases = np.tile(start.phases, (len(pairs), 1))
+    phases[:, ja:ja + 2] = [(wrap_angle(a), wrap_angle(b)) for a, b in pairs]
+    sums = np.tile([start.sigma(j) for j in range(1, n + 1)], (len(pairs), 1))
+    sums[:, spec.qubit - 1] = [a + b for a, b in pairs]
     return Trajectory(times, phases, sums)
 
 

@@ -275,16 +275,12 @@ def test_criterion_7_berry_holonomy():
     rng = np.random.default_rng(SEED + 6)
     loop = bloch_circle_loop(PI / 3, 256)
     base = berry_holonomy(loop)
-    import cmath
-    regauged = []
-    phases = rng.uniform(0.0, 2.0 * PI, len(loop.states))
+    phases = rng.uniform(0.0, 2.0 * PI, len(loop.vectors))
     phases[-1] = phases[0]
-    for state, alpha in zip(loop.states, phases):
-        amps = {b: cmath.exp(1j * alpha) * c for b, c in state.amplitudes.items()}
-        regauged.append(HoloState(state.nqubits, amps))
+    regauged = np.exp(1j * phases)[:, None] * loop.vectors
     from holoqsim import StateLoop
     gauge_diff = abs(math.remainder(
-        base - berry_holonomy(StateLoop(tuple(regauged))), 2.0 * PI))
+        base - berry_holonomy(StateLoop(regauged)), 2.0 * PI))
     gauge_ok = gauge_diff <= 1e-12
 
     assert report(7, curve_ok and gauge_ok,

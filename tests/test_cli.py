@@ -12,6 +12,7 @@ import holoqsim.geometry
 from holoqsim import MAX_DENSE_QUBITS
 from holoqsim.cli import main
 from holoqsim.geometry import overlap_distance
+from holoqsim.semiclassical import pauli_hamiltonian
 
 SQ2 = math.sqrt(2.0)
 PI = math.pi
@@ -489,10 +490,22 @@ def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
     states[1] = {"1": [1.0, 0.0]}  # orthogonal to its neighbours
     loop = tmp_path / "coarse.json"
     loop.write_text(json.dumps({"n": 1, "states": states}))
+    n = MAX_DENSE_QUBITS + 1  # one amplitude per state, but a dense loop is 2^N wide
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": n, "states": [{"0" * n: [1.0, 0.0]}] * 17}))
+    unnormalized = tmp_path / "unnormalized.json"
+    states[1] = {"0": [0.5, 0.0]}
+    unnormalized.write_text(json.dumps({"n": 1, "states": states}))
     cases = [
         (("--loop", str(loop)), "error: consecutive overlap at segment 0 has magnitude 0; "
                                 "loop too coarse for a well-defined holonomy\n"),
         (("--theta", "1.0", "--samples", "10"), "error: need at least 16 segments\n"),
+        (("--theta", "nan"), "error: amplitude of '0' is not finite: (nan+0j)\n"),
+        (("--loop", str(wide)), f"error: {wide}: {n} qubits exceed the "
+                                f"{MAX_DENSE_QUBITS}-qubit limit for dense 2^N amplitude "
+                                "vectors\n"),
+        (("--loop", str(unnormalized)), f"error: {unnormalized}: loop state is not "
+                                        "normalized: |norm - 1| = 0.5 exceeds 1e-10\n"),
     ]
     for args, message in cases:
         assert run_cli(capsys, "holonomy", *args) == (2, "", message)
@@ -532,6 +545,29 @@ def test_classical_evolve_energy_column_constant(tmp_path, capsys):
             open(out).read().splitlines()[1:]]
     energies = [r[5] for r in rows]
     assert max(energies) - min(energies) < 1e-12
+
+
+@pytest.mark.parametrize("qubit, z0", [(1, "0.3,0.4,-0.5,0.1"),
+                                       (2, "0.6,0,0,0.8,0.1,0.2,0.3,-0.9")])
+@pytest.mark.parametrize("generator", ["X", "Y", "Z"])
+def test_classical_evolve_rows_equal_per_row_propagators(tmp_path, capsys, generator,
+                                                         qubit, z0):
+    out = str(tmp_path / "evo.csv")
+    code, _, _ = run_cli(capsys, "classical-evolve", "--generator", generator,
+                         "--t-final", "1.005", "--dt", "0.01", "--z0", z0,
+                         "--qubit", str(qubit), "--out", out)
+    assert code == 0
+    raw = [float(x) for x in z0.split(",")]
+    z = np.array([complex(raw[k], raw[k + 1]) for k in range(0, len(raw), 2)])
+    h = pauli_hamiltonian(generator, qubit, z.size // 2).hmatrix
+    evals, evecs = np.linalg.eigh(h)
+    rows = []
+    for t in [k * 0.01 for k in range(101)] + [1.005]:
+        zt = ((evecs * np.exp(-1j * evals * t)) @ evecs.conj().T) @ z
+        row = [t] + [x for val in zt for x in (val.real, val.imag)]
+        row += [float(np.real(np.vdot(zt, h @ zt))), float(np.linalg.norm(zt))]
+        rows.append(", ".join(f"{float(x):.17g}" for x in row))
+    assert open(out).read().splitlines()[1:] == rows
 
 
 def test_classical_evolve_deterministic(tmp_path, capsys):

@@ -268,6 +268,11 @@ def test_diffop_rejects_non_finite_coefficients(bad):
         pauli_x(1, 1) * bad
 
 
+def test_diffop_rejects_fractional_exponents():
+    with pytest.raises(ValueError, match=r"non-integral exponent in \(\(0\.5, 0\), \(1, 0\)\)"):
+        apply_diffop(DiffOperator(1, {((0.5, 0), (1, 0)): 1}), encode_basis("0"))
+
+
 def test_apply_diffop_refuses_non_finite_images():
     op = pauli_x(1, 1)
     for key in op.terms:

@@ -21,7 +21,7 @@ from holoqsim import (
     save_state,
     save_trajectory,
 )
-from holoqsim.fileio import FormatError, dump_json_text, format_float
+from holoqsim.fileio import FormatError, dump_json_text, format_float, trajectory_csv_text
 
 SQ2 = math.sqrt(2.0)
 
@@ -219,6 +219,15 @@ def test_trajectory_floats_round_trip(tmp_path):
         vals = [float(x) for x in line.split(",")]
         assert vals[1] == traj.phases[i, 0]  # 17 sig digits round-trip exactly
         assert vals[3] == traj.sum_phases[i, 0]
+
+
+def test_trajectory_csv_equals_per_element_format():
+    traj = integrate_flow(FlowSpec("Y", 2, 1.005, 0.01), TorusPoint((0.4, 5.1, 2.2, 0.7)))
+    rows = [", ".join([format_float(traj.times[i])]
+                      + [format_float(x) for x in traj.phases[i]]
+                      + [format_float(x) for x in traj.sum_phases[i]])
+            for i in range(traj.nsamples)]
+    assert trajectory_csv_text(traj).splitlines()[1:] == rows
 
 
 # -- writers ----------------------------------------------------------

@@ -266,7 +266,7 @@ def test_schmidt_oracle_rejects_wrong_register():
 
 def test_holonomy_constant_loop_is_zero():
     psi = encode_state(np.array([1.0, 0.0]))
-    loop = StateLoop(tuple([psi] * 33))
+    loop = StateLoop(np.array([psi.to_vector()] * 33))
     assert berry_holonomy(loop) == 0.0
 
 
@@ -296,14 +296,24 @@ def test_holonomy_gauge_invariance():
     rng = np.random.default_rng(15)
     loop = bloch_circle_loop(PI / 3, 64)
     gamma = berry_holonomy(loop)
-    phases = rng.uniform(0, 2 * PI, len(loop.states))
+    phases = rng.uniform(0, 2 * PI, len(loop.vectors))
     phases[-1] = phases[0]  # the closing duplicate keeps the first state's gauge
-    regauged = []
-    for state, alpha in zip(loop.states, phases):
-        amps = {b: cmath.exp(1j * alpha) * c for b, c in state.amplitudes.items()}
-        regauged.append(HoloState(state.nqubits, amps))
-    gamma2 = berry_holonomy(StateLoop(tuple(regauged)))
+    regauged = np.exp(1j * phases)[:, None] * loop.vectors
+    gamma2 = berry_holonomy(StateLoop(regauged))
     assert abs(math.remainder(gamma - gamma2, 2 * PI)) < 1e-12
+
+
+@pytest.mark.parametrize("segments", [16, 2000])
+@pytest.mark.parametrize("theta", [1.0, PI / 2, 2.9, -1.3])
+def test_holonomy_equals_per_state_vdot_product(theta, segments):
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    vecs = [encode_state(np.array([c, s * cmath.exp(1j * (2.0 * PI * k / segments))]))
+            .to_vector() for k in range(segments)]
+    phase = 1.0 + 0j
+    for k in range(segments):
+        olap = complex(np.vdot(vecs[k], vecs[(k + 1) % segments]))
+        phase *= olap / abs(olap)
+    assert berry_holonomy(bloch_circle_loop(theta, segments)) == -cmath.phase(phase)
 
 
 def test_holonomy_small_theta_small_phase():
@@ -314,7 +324,7 @@ def test_holonomy_small_theta_small_phase():
 def test_loop_rejects_too_few_segments():
     psi = encode_state(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        StateLoop(tuple([psi] * 10))
+        StateLoop(np.array([psi.to_vector()] * 10))
     with pytest.raises(ValueError):
         bloch_circle_loop(PI / 3, 8)
 
@@ -323,14 +333,14 @@ def test_loop_rejects_open_path():
     states = [encode_state(np.array([1.0, 0.0]))] * 20
     states.append(encode_state(np.array([0.0, 1.0])))
     with pytest.raises(ValueError):
-        StateLoop(tuple(states))
+        StateLoop(np.array([s.to_vector() for s in states]))
 
 
 def test_holonomy_rejects_orthogonal_consecutive_states():
     zero = encode_state(np.array([1.0, 0.0]))
     one = encode_state(np.array([0.0, 1.0]))
     states = [zero, one] * 10 + [zero]
-    loop = StateLoop(tuple(states))
+    loop = StateLoop(np.array([s.to_vector() for s in states]))
     with pytest.raises(ValueError):
         berry_holonomy(loop)
 

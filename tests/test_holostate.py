@@ -166,6 +166,8 @@ def test_sparsepoly_rejects_bad_exponents():
         SparsePoly(1, {(1,): 1.0})
     with pytest.raises(ValueError):
         SparsePoly(1, {(-1, 0): 1.0})
+    with pytest.raises(ValueError, match=r"non-integral exponent in \(1\.5, 0\)"):
+        SparsePoly(1, {(1.5, 0): 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])

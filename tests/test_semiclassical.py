@@ -79,6 +79,17 @@ def test_propagator_matches_closed_form():
             assert np.max(np.abs(u - ref)) < 1e-12, kind
 
 
+def test_propagator_stack_equals_single_time_propagators():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    ham = QuadraticHamiltonian(g + g.conj().T)
+    times = np.array([k * 0.01 for k in range(301)] + [3.005])
+    stack = propagator(ham, times)
+    assert stack.shape == (times.size, 6, 6)
+    for k, t in enumerate(times.tolist()):
+        assert np.array_equal(stack[k], propagator(ham, t))
+
+
 def test_compare_with_gate_small_deviation():
     for kind in ("X", "Y", "Z"):
         assert compare_with_gate(kind, PI / 2, samples=100) < 1e-10

@@ -66,11 +66,10 @@ from .geometry import (
     schmidt_oracle,
 )
 from .semiclassical import (
-    CoherentPoint,
     QuadraticHamiltonian,
     compare_with_gate,
-    evolve_classical,
     pauli_hamiltonian,
+    rk4_flow,
 )
 from .oracle import (
     StateVector,

@@ -10,7 +10,7 @@ Subcommands:
     classical-evolve  quadratic-Hamiltonian flow of pair amplitudes, CSV
 
 Exit codes: 0 success, 1 a requested tolerance was exceeded, 2 malformed
-input or arguments.  All numeric output is printed with 17 significant
+input or arguments, or an input or output path that cannot be used.  All numeric output is printed with 17 significant
 digits and all file writes are atomic, so runs with identical inputs and
 seeds produce byte-identical outputs.
 """
@@ -26,8 +26,8 @@ import numpy as np
 
 from .diffop import run_circuit_holo
 from .fileio import (
-    FormatError,
     atomic_write_text,
+    csv_text,
     dump_json_text,
     format_float,
     load_circuit,
@@ -134,9 +134,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    generator = args.generator.upper()
-    if generator not in GENERATORS:
-        raise CliError(f"generator must be one of {', '.join(GENERATORS)}")
+    generator = args.generator
     offsets = (_parse_float_list(args.offsets, "--offsets")
                if args.offsets else DEFAULT_OFFSETS)
     deltas = (_parse_float_list(args.deltas, "--deltas")
@@ -221,39 +219,26 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_classical_evolve(args) -> int:
-    generator = args.generator.upper()
-    if generator not in GENERATORS:
-        raise CliError(f"generator must be one of {', '.join(GENERATORS)}")
     raw = _parse_float_list(args.z0, "--z0")
     if len(raw) % 4:
         raise CliError("--z0 needs 4 numbers per qubit: re_a, im_a, re_b, im_b")
     z0 = np.array([complex(raw[k], raw[k + 1]) for k in range(0, len(raw), 2)])
     nqubits = z0.size // 2
-    if args.qubit < 1 or args.qubit > nqubits:
-        raise CliError(f"--qubit {args.qubit} out of range 1..{nqubits}")
-    ham = pauli_hamiltonian(generator, args.qubit, nqubits)
-
-    nfull, rem = fixed_steps(args.t_final, args.dt)
-    times = [k * args.dt for k in range(nfull + 1)]
-    if rem:
-        times.append(args.t_final)
+    ham = pauli_hamiltonian(args.generator, args.qubit, nqubits)
+    times = fixed_steps(args.t_final, args.dt)[0]
 
     cols = ["t"]
     for j in range(1, nqubits + 1):
         cols += [f"re_a_{j}", f"im_a_{j}", f"re_b_{j}", f"im_b_{j}"]
     cols += ["energy", "norm"]
-    lines = [", ".join(cols)]
-    zs = propagator(ham, np.array(times)) @ z0
-    energies = ham.energy(zs).tolist()
-    norms = norm_rows(zs).tolist()
-    for t, z, energy, norm in zip(times, zs, energies, norms):
-        row = [format_float(t)]
-        for val in z.tolist():
-            row += [format_float(val.real), format_float(val.imag)]
-        row += [format_float(energy), format_float(norm)]
-        lines.append(", ".join(row))
-    text = "\n".join(lines) + "\n"
-    atomic_write_text(args.out, text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = propagator(ham, np.array(times)) @ z0
+        energies, norms = ham.energy(zs), norm_rows(zs)
+    if not (np.isfinite(energies).all() and np.isfinite(norms).all()):
+        raise CliError("--z0 is too large: the energy or norm of its flow overflows a float")
+    rows = ([t, *z.view(float).tolist(), energy, norm] for t, z, energy, norm in zip(
+        times, zs, energies.tolist(), norms.tolist()))
+    atomic_write_text(args.out, csv_text(cols, rows))
     print(f"wrote {args.out}")
     print(f"samples: {len(times)}")
     print(f"initial energy: {format_float(ham.energy(z0))}")
@@ -284,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("portrait", help="integrate torus flows over a start grid")
-    p.add_argument("--generator", required=True, help="X, Y, or Z")
+    p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--t-final", type=float, default=10.0)
@@ -312,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical-evolve",
                        help="flow pair amplitudes under a Pauli Hamiltonian")
-    p.add_argument("--generator", required=True, help="X, Y, or Z")
+    p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--z0", default="1,0,0,0",
@@ -334,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (CliError, FormatError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -32,6 +32,7 @@ crash cannot leave a half-written output.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import os
 import tempfile
@@ -53,18 +54,23 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    On failure the temp file is removed, and an OSError names path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -83,6 +89,8 @@ def _load_json(path: str):
             return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -197,7 +205,7 @@ def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
         if not isinstance(entry, dict):
             raise FormatError(f"{whereg} must be an object")
         kind = entry.get("kind")
-        if kind not in GATE_ARITY:
+        if not isinstance(kind, str) or kind not in GATE_ARITY:
             raise FormatError(f"{whereg}: unknown gate kind {kind!r}")
         qubits = entry.get("qubits")
         if (not isinstance(qubits, list)
@@ -212,7 +220,7 @@ def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
             try:
                 u = np.array([[complex(float(cell[0]), float(cell[1])) for cell in row]
                               for row in raw])
-            except (TypeError, IndexError, ValueError):
+            except (LookupError, TypeError, ValueError):
                 raise FormatError(f'{whereg}: "u" entries must be [re, im] pairs')
             except OverflowError:
                 raise FormatError(f'{whereg}: a "u" entry is too large for a float')
@@ -271,20 +279,23 @@ def load_loop(path: str) -> StateLoop:
 # -- trajectories -----------------------------------------------------
 
 
+def csv_text(columns: list[str], rows) -> str:
+    """CSV text: the ", "-joined column names, then one such line of
+    format_float values per row, each row taken as it is produced."""
+    lines = [", ".join(columns)]
+    lines += [", ".join(map(format_float, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_csv_text(traj: Trajectory) -> str:
     n = traj.nqubits
     cols = ["t"]
     for j in range(1, n + 1):
         cols += [f"phi_a_{j}", f"phi_b_{j}"]
     cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
-    lines = [", ".join(cols)]
-    for t, phases, sums in zip(traj.times.tolist(), traj.phases.tolist(),
-                               traj.sum_phases.tolist()):
-        row = [format_float(t)]
-        row += [format_float(x) for x in phases]
-        row += [format_float(x) for x in sums]
-        lines.append(", ".join(row))
-    return "\n".join(lines) + "\n"
+    rows = ([t, *phases, *sums] for t, phases, sums in zip(
+        traj.times.tolist(), traj.phases.tolist(), traj.sum_phases.tolist()))
+    return csv_text(cols, rows)
 
 
 def save_trajectory(path: str, traj: Trajectory) -> None:

@@ -273,7 +273,11 @@ class HoloState:
         self.is_normalized = abs(self.norm() - 1.0) <= NORM_TOL
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        """2-norm of the amplitudes; inf when a square overflows a float."""
+        try:
+            return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        except OverflowError:
+            return math.inf
 
     def to_vector(self) -> np.ndarray:
         """Flat amplitude vector of length 2^N, index = bit string as binary.

@@ -46,10 +46,6 @@ class StateVector:
     def nqubits(self) -> int:
         return int(round(math.log2(self.amplitudes.size)))
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(np.linalg.norm(self.amplitudes) - 1.0) <= 1e-10
-
     @classmethod
     def basis(cls, bits: str) -> "StateVector":
         v = np.zeros(2 ** len(bits), dtype=complex)

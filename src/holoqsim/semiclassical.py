@@ -14,8 +14,11 @@ For a Pauli generator embedded in one qubit pair the propagator is
 so at t = pi/2 the flow reproduces the gate up to the global phase -i.
 Energy conj(z)^T h z and the norm of z are exact invariants of the flow
 and stay conserved to rounding error under the eigenbasis propagator.
-`propagator` takes one time or an array of times: a whole time grid
-costs one eigendecomposition of h and gives the stack of propagators.
+A point z is a plain complex array of 2N amplitudes, and the exact flow
+is `propagator(ham, t) @ z`.  `propagator` takes one time or an array of
+times: a whole time grid costs one eigendecomposition of h and gives the
+stack of propagators.  `rk4_flow` integrates the same equation by fixed
+steps and serves only as an independent cross-check of that route.
 """
 
 from __future__ import annotations
@@ -35,26 +38,6 @@ _PAULI_BLOCKS = {
     "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class CoherentPoint:
-    """Classical phase-space point: one complex amplitude per pair variable."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.z, dtype=complex).ravel()
-        if v.size < 2 or v.size % 2:
-            raise ValueError("z must hold an (a, b) amplitude pair per qubit")
-        object.__setattr__(self, "z", v)
-
-    @property
-    def nqubits(self) -> int:
-        return self.z.size // 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.z))
 
 
 @dataclass(frozen=True)
@@ -112,39 +95,28 @@ def propagator(ham: QuadraticHamiltonian, t: float | np.ndarray) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t[..., None, None])) @ evecs.conj().T
 
 
-def evolve_classical(ham: QuadraticHamiltonian, z0: CoherentPoint | np.ndarray,
-                     t: float, method: str = "exact",
-                     dt: float = 1e-3) -> CoherentPoint:
-    """Flow a phase-space point for time t.
-
-    method="exact" applies the eigenbasis propagator in one shot;
-    method="rk4" takes fixed steps of i dz/dt = h z, useful only as an
-    integration cross-check of the exact route.
-    """
-    v = z0.z if isinstance(z0, CoherentPoint) else np.asarray(z0, dtype=complex).ravel()
-    if v.size != ham.hmatrix.shape[0]:
-        raise ValueError(
-            f"point has {v.size} components, Hamiltonian expects {ham.hmatrix.shape[0]}")
-    if method == "exact":
-        return CoherentPoint(propagator(ham, t) @ v)
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
-    nfull, rem = fixed_steps(abs(t), dt)
+def rk4_flow(ham: QuadraticHamiltonian, z0: np.ndarray, t: float,
+             dt: float = 1e-3) -> np.ndarray:
+    """z(t) by RK4 steps of i dz/dt = h z on the `fixed_steps` grid of |t|,
+    run backwards for t < 0: an independent cross-check of `propagator`."""
+    w = np.asarray(z0, dtype=complex).ravel()
     h = ham.hmatrix
+    if w.size != h.shape[0]:
+        raise ValueError(
+            f"point has {w.size} components, Hamiltonian expects {h.shape[0]}")
 
-    def rhs(w):
-        return -1j * (h @ w)
+    def rhs(v):
+        return -1j * (h @ v)
 
     sign = 1.0 if t >= 0 else -1.0
-    w = v.astype(complex)
-    for step_dt in [dt] * nfull + ([rem] if rem else []):
-        sdt = sign * step_dt
+    for step in fixed_steps(abs(t), dt)[1]:
+        sdt = sign * step
         k1 = rhs(w)
         k2 = rhs(w + 0.5 * sdt * k1)
         k3 = rhs(w + 0.5 * sdt * k2)
         k4 = rhs(w + sdt * k3)
         w = w + sdt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return CoherentPoint(w)
+    return w
 
 
 def pauli_propagator_reference(kind: str, t: float) -> np.ndarray:

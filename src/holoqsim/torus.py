@@ -140,11 +140,13 @@ def vector_field(generator: str, point: TorusPoint, qubit: int) -> tuple[float, 
     return pair_field(generator, pa - pb)
 
 
-def fixed_steps(t_final: float, dt: float) -> tuple[int, float]:
-    """Time grid of a fixed-step flow: nfull steps of dt, then one of rem.
+def fixed_steps(t_final: float, dt: float) -> tuple[list[float], list[float]]:
+    """Time grid of a fixed-step flow: sample times and the steps between them.
 
-    rem is 0.0 when dt divides t_final.  The 1e-9 slack in the floor keeps
-    a t_final that dt divides up to rounding at nfull full steps, so the
+    times is [k*dt for k in 0..nfull], then t_final when dt leaves a
+    remainder; steps is nfull steps of dt, then that remainder.  The 1e-9
+    slack in the floor keeps a t_final that dt divides up to rounding at
+    nfull full steps, and a remainder of at most 1e-12 is dropped, so the
     sample at index k sits at exactly k*dt.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
@@ -153,7 +155,12 @@ def fixed_steps(t_final: float, dt: float) -> tuple[int, float]:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     nfull = int(math.floor(t_final / dt + 1e-9))
     rem = t_final - nfull * dt
-    return nfull, (rem if rem > 1e-12 else 0.0)
+    times = [k * dt for k in range(nfull + 1)]
+    steps = [dt] * nfull
+    if rem > 1e-12:
+        times.append(t_final)
+        steps.append(rem)
+    return times, steps
 
 
 @dataclass(frozen=True)
@@ -227,18 +234,14 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     Integration state is unwrapped, samples are wrapped on recording.
     """
     start._check(spec.qubit)
-    nfull, rem = fixed_steps(spec.t_final, spec.dt)
+    times, steps = fixed_steps(spec.t_final, spec.dt)
     ja = 2 * (spec.qubit - 1)
     pa, pb = start.phases[ja], start.phases[ja + 1]
 
     pairs = [(pa, pb)]
-    for _ in range(nfull):
-        pa, pb = _rk4_step(spec.generator, pa, pb, spec.dt)
+    for step in steps:
+        pa, pb = _rk4_step(spec.generator, pa, pb, step)
         pairs.append((pa, pb))
-    times = [k * spec.dt for k in range(nfull + 1)]
-    if rem:
-        pairs.append(_rk4_step(spec.generator, pa, pb, rem))
-        times.append(spec.t_final)
 
     n = start.nqubits
     phases = np.tile(start.phases, (len(pairs), 1))

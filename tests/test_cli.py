@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_simulate_bell(bell_files, tmp_path, capsys):
                               "--state", state, "--out", out)
     assert code == 0
     assert "norm:" in stdout and "homogeneity: ok" in stdout
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["n"] == 2
     assert abs(doc["amplitudes"]["00"][0] - 1 / SQ2) < 1e-12
     assert abs(doc["amplitudes"]["11"][0] - 1 / SQ2) < 1e-12
@@ -72,7 +73,7 @@ def test_simulate_empty_circuit_copies_state(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--circuit", str(circ),
                          "--state", str(state), "--out", out)
     assert code == 0
-    assert json.loads(open(out).read())["amplitudes"] == {"1": [1.0, 0.0]}
+    assert json.loads(Path(out).read_text())["amplitudes"] == {"1": [1.0, 0.0]}
 
 
 def test_simulate_unknown_gate_kind_exits_2(tmp_path, capsys):
@@ -152,7 +153,7 @@ def test_diff_deterministic_bytes(bell_files, tmp_path, capsys):
                    "--out", r1)[0] == 0
     assert run_cli(capsys, "diff", "--circuit", circ, "--state", state,
                    "--out", r2)[0] == 0
-    assert open(r1, "rb").read() == open(r2, "rb").read()
+    assert Path(r1).read_bytes() == Path(r2).read_bytes()
 
 
 def test_diff_impossible_tolerance_exits_1(bell_files, capsys, monkeypatch):
@@ -244,7 +245,7 @@ def test_portrait_writes_grid(tmp_path, capsys):
                               "--out-dir", outdir, "--dt", "0.1",
                               "--t-final", "1.0")
     assert code == 0
-    index = json.loads(open(os.path.join(outdir, "portrait_z_index.json")).read())
+    index = json.loads(Path(os.path.join(outdir, "portrait_z_index.json")).read_text())
     assert index["generator"] == "Z"
     assert len(index["trajectories"]) == 20  # 5 offsets x 4 deltas
     for entry in index["trajectories"]:
@@ -257,7 +258,7 @@ def test_portrait_z_slopes(tmp_path, capsys):
     run_cli(capsys, "portrait", "--generator", "Z", "--out-dir", outdir,
             "--dt", "0.05", "--t-final", "0.4", "--offsets", "0",
             "--deltas", "1.0")
-    lines = open(os.path.join(outdir, "portrait_z_00.csv")).read().splitlines()
+    lines = Path(os.path.join(outdir, "portrait_z_00.csv")).read_text().splitlines()
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
     # phi_a falls at unit rate, phi_b rises
     assert rows[1][1] - rows[0][1] == pytest.approx(-0.05, abs=1e-12)
@@ -268,10 +269,10 @@ def test_portrait_x_stationary_rows(tmp_path, capsys):
     outdir = str(tmp_path / "plots")
     run_cli(capsys, "portrait", "--generator", "X", "--out-dir", outdir,
             "--dt", "0.1", "--t-final", "2.0")
-    index = json.loads(open(os.path.join(outdir, "portrait_x_index.json")).read())
+    index = json.loads(Path(os.path.join(outdir, "portrait_x_index.json")).read_text())
     for entry in index["trajectories"]:
         rows = [[float(x) for x in ln.split(",")] for ln in
-                open(os.path.join(outdir, entry["file"])).read().splitlines()[1:]]
+                Path(os.path.join(outdir, entry["file"])).read_text().splitlines()[1:]]
         moved = max(abs(r[1] - rows[0][1]) for r in rows)
         if abs(abs(entry["delta0"]) - PI / 2) < 1e-12:
             assert moved < 1e-9  # delta = +-pi/2 rows are fixed lines
@@ -284,10 +285,10 @@ def test_portrait_y_stationary_rows(tmp_path, capsys):
     run_cli(capsys, "portrait", "--generator", "Y", "--out-dir", outdir,
             "--dt", "0.1", "--t-final", "2.0", "--offsets", "0.6",
             "--deltas", "0,3.141592653589793,1.0")
-    index = json.loads(open(os.path.join(outdir, "portrait_y_index.json")).read())
+    index = json.loads(Path(os.path.join(outdir, "portrait_y_index.json")).read_text())
     for entry in index["trajectories"]:
         rows = [[float(x) for x in ln.split(",")] for ln in
-                open(os.path.join(outdir, entry["file"])).read().splitlines()[1:]]
+                Path(os.path.join(outdir, entry["file"])).read_text().splitlines()[1:]]
         moved = max(abs(r[1] - rows[0][1]) for r in rows)
         if entry["delta0"] in (0.0, PI):
             assert moved < 1e-9
@@ -344,7 +345,7 @@ def test_entanglement_bell_report(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "entanglement", "--state", str(state),
                               "--out", out)
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert abs(doc["entanglement_measure"] - PI / 4) < 1e-5
     assert doc["separable"] is False
     assert len(doc["witness"]) == 2
@@ -359,7 +360,7 @@ def test_entanglement_product_state(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "entanglement", "--state", str(state),
                          "--out", out)
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["entanglement_measure"] <= 1e-6
     assert doc["separable"] is True
 
@@ -372,7 +373,7 @@ def test_entanglement_ghz(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code, _, _ = run_cli(capsys, "entanglement", "--state", str(state), "--out", out)
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert abs(doc["entanglement_measure"] - PI / 4) < 1e-4
 
 
@@ -386,7 +387,7 @@ def test_entanglement_deterministic_bytes(tmp_path, capsys):
             "--seed", "7")
     run_cli(capsys, "entanglement", "--state", str(state), "--out", o2,
             "--seed", "7")
-    assert open(o1, "rb").read() == open(o2, "rb").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
 
 def test_entanglement_unnormalized_exits_2(tmp_path, capsys):
@@ -416,7 +417,7 @@ def test_entanglement_runs_optimizer_once(tmp_path, capsys, monkeypatch):
                          "--out", out, "--restarts", "3")
     assert code == 0
     assert len(calls) == 1
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["entanglement_measure"] > 0.0
     assert doc["entanglement_measure"] == overlap_distance(doc["max_product_overlap"])
 
@@ -527,7 +528,7 @@ def test_classical_evolve_output(tmp_path, capsys):
                          "--t-final", str(PI / 2), "--dt", "0.01",
                          "--z0", "1,0,0,0", "--out", out)
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "t, re_a_1, im_a_1, re_b_1, im_b_1, energy, norm"
     last = [float(x) for x in lines[-1].split(",")]
     # exp(-i X pi/2) (1,0) = (0, -i)
@@ -542,7 +543,7 @@ def test_classical_evolve_energy_column_constant(tmp_path, capsys):
     run_cli(capsys, "classical-evolve", "--generator", "Y", "--t-final", "3.0",
             "--dt", "0.05", "--z0", "0.6,0,0.8,0", "--out", out)
     rows = [[float(x) for x in ln.split(",")] for ln in
-            open(out).read().splitlines()[1:]]
+            Path(out).read_text().splitlines()[1:]]
     energies = [r[5] for r in rows]
     assert max(energies) - min(energies) < 1e-12
 
@@ -567,7 +568,7 @@ def test_classical_evolve_rows_equal_per_row_propagators(tmp_path, capsys, gener
         row = [t] + [x for val in zt for x in (val.real, val.imag)]
         row += [float(np.real(np.vdot(zt, h @ zt))), float(np.linalg.norm(zt))]
         rows.append(", ".join(f"{float(x):.17g}" for x in row))
-    assert open(out).read().splitlines()[1:] == rows
+    assert Path(out).read_text().splitlines()[1:] == rows
 
 
 def test_classical_evolve_deterministic(tmp_path, capsys):
@@ -575,7 +576,7 @@ def test_classical_evolve_deterministic(tmp_path, capsys):
     for o in (o1, o2):
         run_cli(capsys, "classical-evolve", "--generator", "Z",
                 "--t-final", "1.0", "--dt", "0.1", "--out", o)
-    assert open(o1, "rb").read() == open(o2, "rb").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
 
 def test_classical_evolve_bad_z0_exits_2(tmp_path, capsys):
@@ -586,3 +587,46 @@ def test_classical_evolve_bad_z0_exits_2(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# -- unusable paths and overflowing states ----------------------------
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["portrait", "--generator", "X", "--out-dir", "{file}"], "{file}"),
+    (["simulate", "--circuit", "{circuit}", "--state", "{state}",
+      "--out", "{missing}/x"], "{missing}/x"),
+    (["classical-evolve", "--generator", "X", "--out", "{missing}/x"], "{missing}/x"),
+    (["entanglement", "--state", "{state}", "--out", "{missing}/x"], "{missing}/x"),
+    (["simulate", "--circuit", "{circuit}", "--state", "{dir}",
+      "--out", "{file}.out"], "{dir}"),
+    (["diff", "--circuit", "{dir}", "--state", "{state}"], "{dir}"),
+    (["holonomy", "--loop", "{dir}"], "{dir}"),
+    (["diff", "--circuit", "{circuit}", "--state", "{state}", "--out", "{dir}"], "{dir}"),
+])
+def test_unusable_path_exits_2_naming_it(bell_files, tmp_path, capsys, argv, bad):
+    circ, state = bell_files
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    names = {"file": str(tmp_path / "file"), "dir": str(tmp_path / "dir"),
+             "missing": str(tmp_path / "missing"), "circuit": circ, "state": state}
+    code, _, stderr = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert bad.format(**names) in stderr
+    assert ".tmp-" not in stderr
+    assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff", "entanglement"])
+def test_overflowing_norm_exits_2(tmp_path, capsys, command):
+    circ = tmp_path / "x.json"
+    circ.write_text('{"n": 1, "gates": [{"kind": "X", "qubits": [1]}]}')
+    state = tmp_path / "big.json"
+    state.write_text('{"n": 1, "amplitudes": {"0": [1e200, 0.0]}}')
+    argv = {"simulate": ["--circuit", str(circ), "--out", str(tmp_path / "o.json")],
+            "diff": ["--circuit", str(circ)], "entanglement": []}[command]
+    code, stdout, stderr = run_cli(capsys, command, "--state", str(state), *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "not normalized (norm inf)" in stderr

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_state_file_shape(tmp_path):
     psi = encode_state(np.array([1.0, 0.0]))
     path = str(tmp_path / "state.json")
     save_state(path, psi)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["n"] == 1
     assert doc["amplitudes"] == {"0": [1.0, 0.0]}
 
@@ -203,7 +204,7 @@ def test_trajectory_csv_layout(tmp_path):
     traj = integrate_flow(FlowSpec("Z", 1, 0.2, 0.1), TorusPoint((1.0, 2.0)))
     path = str(tmp_path / "traj.csv")
     save_trajectory(path, traj)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "t, phi_a_1, phi_b_1, sum_phase_1"
     assert len(lines) == 1 + traj.nsamples
     first = [float(x) for x in lines[1].split(",")]
@@ -214,7 +215,7 @@ def test_trajectory_floats_round_trip(tmp_path):
     traj = integrate_flow(FlowSpec("X", 1, 0.3, 0.07), TorusPoint((0.4, 5.1)))
     path = str(tmp_path / "traj.csv")
     save_trajectory(path, traj)
-    lines = open(path).read().splitlines()[1:]
+    lines = Path(path).read_text().splitlines()[1:]
     for i, line in enumerate(lines):
         vals = [float(x) for x in line.split(",")]
         assert vals[1] == traj.phases[i, 0]  # 17 sig digits round-trip exactly

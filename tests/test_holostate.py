@@ -185,6 +185,12 @@ def test_holostate_norm_flag():
     assert not HoloState(1, {"0": 0.5}).is_normalized
 
 
+def test_holostate_norm_overflow_is_inf():
+    psi = HoloState(1, {"0": 1e200})
+    assert psi.norm() == math.inf
+    assert not psi.is_normalized
+
+
 def test_to_vector_big_endian():
     psi = HoloState(2, {"10": 1.0})
     v = psi.to_vector()

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from holoqsim import (
-    CoherentPoint,
     QuadraticHamiltonian,
     compare_with_gate,
-    evolve_classical,
     pauli_hamiltonian,
+    rk4_flow,
 )
 from holoqsim.semiclassical import pauli_propagator_reference, propagator
 
@@ -53,21 +52,20 @@ def test_hamiltonian_rejects_odd_size():
 
 def test_evolve_t_zero_is_identity():
     z0 = np.array([0.3 + 0.1j, 0.7 - 0.2j])
-    out = evolve_classical(pauli_hamiltonian("Y", 1), z0, 0.0)
-    assert np.max(np.abs(out.z - z0)) < 1e-15
+    out = propagator(pauli_hamiltonian("Y", 1), 0.0) @ z0
+    assert np.max(np.abs(out - z0)) < 1e-15
 
 
 def test_evolve_x_quarter_period():
     # exp(-i X pi/2) = -i X: (1, 0) -> (0, -i)
-    out = evolve_classical(pauli_hamiltonian("X", 1), np.array([1.0, 0.0]), PI / 2)
-    assert np.max(np.abs(out.z - np.array([0.0, -1j]))) < 1e-12
+    out = propagator(pauli_hamiltonian("X", 1), PI / 2) @ np.array([1.0, 0.0])
+    assert np.max(np.abs(out - np.array([0.0, -1j]))) < 1e-12
 
 
 def test_evolve_z_half_period():
     # exp(-i Z pi) = -I on both components
-    out = evolve_classical(pauli_hamiltonian("Z", 1),
-                           np.array([1.0 + 0j, 1.0 + 0j]), PI)
-    assert np.max(np.abs(out.z - np.array([-1.0, -1.0]))) < 1e-12
+    out = propagator(pauli_hamiltonian("Z", 1), PI) @ np.array([1.0 + 0j, 1.0 + 0j])
+    assert np.max(np.abs(out - np.array([-1.0, -1.0]))) < 1e-12
 
 
 def test_propagator_matches_closed_form():
@@ -107,7 +105,7 @@ def test_energy_and_norm_conserved():
     e0 = ham.energy(z0)
     n0 = float(np.linalg.norm(z0))
     for t in np.linspace(0.0, 10.0, 101):
-        zt = evolve_classical(ham, z0, float(t)).z
+        zt = propagator(ham, float(t)) @ z0
         assert abs(ham.energy(zt) - e0) < 1e-10
         assert abs(np.linalg.norm(zt) - n0) < 1e-10
 
@@ -116,8 +114,8 @@ def test_rk4_route_matches_exact_route():
     rng = np.random.default_rng(5)
     ham = pauli_hamiltonian("Y", 1)
     z0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    exact = evolve_classical(ham, z0, 1.0).z
-    stepped = evolve_classical(ham, z0, 1.0, method="rk4", dt=1e-4).z
+    exact = propagator(ham, 1.0) @ z0
+    stepped = rk4_flow(ham, z0, 1.0, dt=1e-4)
     assert np.max(np.abs(exact - stepped)) < 1e-8
 
 
@@ -129,14 +127,6 @@ def test_quarter_period_reproduces_gate_up_to_phase():
         assert np.max(np.abs(u - (-1j) * mat)) < 1e-12
 
 
-def test_coherent_point_validation():
-    with pytest.raises(ValueError):
-        CoherentPoint(np.array([1.0 + 0j]))
-    p = CoherentPoint(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert p.nqubits == 2
-    assert p.norm() == pytest.approx(math.sqrt(30.0))
-
-
 def test_evolve_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        evolve_classical(pauli_hamiltonian("X", 1), np.zeros(4, dtype=complex), 1.0)
+        rk4_flow(pauli_hamiltonian("X", 1), np.zeros(4, dtype=complex), 1.0)

@@ -437,14 +437,20 @@ def test_flowspec_validation():
 def test_fixed_steps_matches_floor_grid(t_final, dt):
     nfull = int(math.floor(t_final / dt + 1e-9))
     rem = t_final - nfull * dt
-    assert fixed_steps(t_final, dt) == (nfull, rem if rem > 1e-12 else 0.0)
+    times = [k * dt for k in range(nfull + 1)]
+    steps = [dt] * nfull
+    if rem > 1e-12:
+        times.append(t_final)
+        steps.append(rem)
+    assert fixed_steps(t_final, dt) == (times, steps)
 
 
 def test_fixed_steps_dividing_and_partial_grids():
-    assert fixed_steps(1.0, 0.1) == (10, 0.0)
-    assert fixed_steps(0.0, 0.1) == (0, 0.0)
-    nfull, rem = fixed_steps(0.35, 0.1)
-    assert nfull == 3 and rem == pytest.approx(0.05, abs=1e-15)
+    assert fixed_steps(1.0, 0.1) == ([k * 0.1 for k in range(11)], [0.1] * 10)
+    assert fixed_steps(0.0, 0.1) == ([0.0], [])
+    times, steps = fixed_steps(0.35, 0.1)
+    assert times == [0.0, 0.1, 0.2, 0.1 * 3, 0.35]
+    assert steps[:3] == [0.1] * 3 and steps[3] == pytest.approx(0.05, abs=1e-15)
 
 
 @pytest.mark.parametrize("t_final, dt", [

@@ -105,7 +105,8 @@ def cmd_simulate(args) -> int:
     print(f"wrote {args.out}")
     print(f"gates applied: {len(circuit)}")
     print(f"norm: {format_float(out_state.norm())}")
-    # Always ok: from_poly decoded every gate block image and refuses non-physical output.
+    # Always ok: from_poly decoded every image in every gate block and refuses
+    # non-physical output, and the sparse and the dense path apply only those blocks.
     print(f"homogeneity: ok ({out_state.nqubits} qubit pair(s))")
     return EXIT_OK
 

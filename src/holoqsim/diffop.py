@@ -37,15 +37,21 @@ relabelled 1..k in the gate's order), and `derive_block` applies that
 operator or substitution to each of the 2^k basis monomials and decodes
 each image with `from_poly`, which raises on any output that is not
 homogeneous of degree one in every pair: the homogeneity claim is checked
-each time a block is derived.  Blocks of the kinds without parameters are
-cached per kind; a CU block is derived from its u at each application.
-`apply_gate` then sends every stored amplitude of the state through the
-block column that the bits of the gate's qubits select.  The full-register
-path (`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
-`to_poly`, `from_poly`) stays as the derivation and as the cross-check the
-tests compare against.  H and SWAP always run through their substitutions;
-their operator forms `hadamard_op` and `swap_op` are the tests' cross-check
-of those.
+each time a block is derived.  The result is a 2^k x 2^k matrix.  Blocks
+of the kinds without parameters are cached per kind.  A CU block is linear
+in the Pauli components of its u, so the five blocks of P0_c and of P1_c
+times 1, X, Y, Z on the target are derived once and each CU block is
+their weighted sum.  `apply_gate` reads that one cache on both of its
+paths: a sparse amplitude map sends every stored amplitude through the
+block column that the bits of the gate's qubits select, and a dense
+2^N vector is contracted with the block as a [2]*N tensor.
+`run_circuit_holo` keeps a state sparse until its term count reaches a
+measured crossover and dense from then on, and decodes it once at the
+end.  The full-register path (`gate_operator` on N qubits, `apply_diffop`,
+`apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
+as the cross-check the tests compare against.  H and SWAP always run
+through their substitutions; their operator forms `hadamard_op` and
+`swap_op` are the tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +72,8 @@ from .holostate import (
     a_index,
     b_index,
     encode_basis,
+    encode_state,
+    fits_dense,
     format_powers,
     from_poly,
     integral_exponents,
@@ -323,13 +332,24 @@ def _projector_terms(nqubits: int, qubit: int):
     return 0.5 * (one + z), 0.5 * (one - z)
 
 
+def _pauli_components(u: np.ndarray) -> tuple[complex, complex, complex, complex]:
+    """(u0, ux, uy, uz) with u = u0 I + ux X + uy Y + uz Z.
+
+    u0 = tr(u)/2, ux = tr(X u)/2, uy = tr(Y u)/2, uz = tr(Z u)/2.
+    """
+    u0 = (u[0, 0] + u[1, 1]) / 2.0
+    ux = (u[0, 1] + u[1, 0]) / 2.0
+    uy = (1j * u[0, 1] - 1j * u[1, 0]) / 2.0  # tr(Y u)/2 with Y = [[0,-i],[i,0]]
+    uz = (u[0, 0] - u[1, 1]) / 2.0
+    return u0, ux, uy, uz
+
+
 def controlled_u(control: int, target: int, u: np.ndarray,
                  nqubits: int) -> DiffOperator:
     """Controlled 2x2 block via its Pauli components on the target pair.
 
-    The block expands as u = u0 I + ux X + uy Y + uz Z with u0 = tr(u)/2,
-    ux = tr(X u)/2, uy = tr(Y u)/2, uz = tr(Z u)/2, then the operator is
-    P0_c + P1_c * (that expansion on the target).
+    The operator is P0_c + P1_c * (u0 + ux X + uy Y + uz Z on the target),
+    with the components of `_pauli_components`.
     """
     if control == target:
         raise ValueError("control and target must differ")
@@ -337,10 +357,7 @@ def controlled_u(control: int, target: int, u: np.ndarray,
     if u.shape != (2, 2):
         raise ValueError("controlled block must be 2x2")
     _require_unitary(u, "controlled block")
-    u0 = (u[0, 0] + u[1, 1]) / 2.0
-    ux = (u[0, 1] + u[1, 0]) / 2.0
-    uy = (1j * u[0, 1] - 1j * u[1, 0]) / 2.0  # tr(Y u)/2 with Y = [[0,-i],[i,0]]
-    uz = (u[0, 0] - u[1, 1]) / 2.0
+    u0, ux, uy, uz = _pauli_components(u)
     p0, p1 = _projector_terms(nqubits, control)
     block = (u0 * DiffOperator.identity(nqubits)
              + ux * pauli_x(nqubits, target)
@@ -397,9 +414,32 @@ def gate_operator(gate: GateSpec, nqubits: int) -> DiffOperator | Substitution:
     raise ValueError(f"unknown gate kind {k!r}")
 
 
-# Local block of a gate: input bits of its qubits (in the gate's order) ->
-# the (output bits, coefficient) pairs of that basis column.
-GateBlock = dict[str, tuple[tuple[str, complex], ...]]
+# Local block of a gate: the 2^k x 2^k matrix whose column c holds the image
+# of the basis state with input bits c on the gate's qubits, in the gate's
+# order (first qubit most significant), and whose rows are the output bits.
+GateBlock = np.ndarray
+
+# The stored term count from which run_circuit_holo moves a state to the
+# dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  Unscaled
+# timings of apply_gate, one thread, 2-vCPU x86-64 host, N = 4..18: the
+# sparse path costs 3-9 us per stored term and gate (~4 us on 256 terms);
+# a dense gate costs 21-49 us up to N = 12 and 3.6-4.0 ms at N = 18, i.e.
+# ~30 us plus ~14 ns per amplitude.  Dense pays from ~8 + 2^N / 280 terms:
+# N = 8 goes dense from 9 terms, N = 18 from 1 032, and a 16-term state at
+# N = 18 stays sparse.
+DENSE_MIN_TERMS = 8
+DENSE_AMPLITUDES_PER_TERM = 256
+
+
+# Bit labels of a k-qubit block's rows and columns, by k.
+_LABELS = {k: [format(i, f"0{k}b") for i in range(2 ** k)] for k in (1, 2)}
+
+
+class DenseState(NamedTuple):
+    """A state on the dense path: a flat 2^N amplitude vector, index = bit string."""
+
+    nqubits: int
+    amplitudes: np.ndarray
 
 
 def _local_operator(kind: str, u: np.ndarray | None = None) -> DiffOperator | Substitution:
@@ -412,15 +452,16 @@ def derive_block(op: DiffOperator | Substitution) -> GateBlock:
     """Block of a k-qubit operator: its images of the 2^k basis monomials.
 
     Each image is decoded with `from_poly`, which raises on any
-    non-physical output.
+    non-physical output.  The block is read-only, because the caches share it.
     """
     k = op.nqubits
     apply = apply_substitution if isinstance(op, Substitution) else apply_diffop
-    block = {}
+    block = np.zeros((2 ** k, 2 ** k), dtype=complex)
     for col in range(2 ** k):
-        bits = format(col, f"0{k}b")
-        image = from_poly(apply(op, encode_basis(bits)))
-        block[bits] = tuple(image.amplitudes.items())
+        image = from_poly(apply(op, encode_basis(format(col, f"0{k}b"))))
+        for bits, amp in image.amplitudes.items():
+            block[int(bits, 2), col] = amp
+    block.flags.writeable = False
     return block
 
 
@@ -430,21 +471,35 @@ def _fixed_block(kind: str) -> GateBlock:
     return derive_block(_local_operator(kind))
 
 
-def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
-    """Apply a gate's local block to the amplitude map of a state."""
-    for q in gate.qubits:
-        if q > state.nqubits:
-            raise ValueError(
-                f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
-    if gate.kind == "CU":
-        block = derive_block(_local_operator("CU", gate.u))
-    else:
-        block = _fixed_block(gate.kind)
-    positions = [q - 1 for q in gate.qubits]
+@functools.cache
+def _cu_component_blocks() -> tuple[GateBlock, ...]:
+    """Blocks of P0_c and of P1_c times 1, X, Y, Z on the target (control 1, target 2).
+
+    A CU block is linear in the Pauli components of its u, so these five
+    derivations serve every CU.
+    """
+    p0, p1 = _projector_terms(2, 1)
+    paulis = (DiffOperator.identity(2), pauli_x(2, 2), pauli_y(2, 2), pauli_z(2, 2))
+    return (derive_block(p0), *(derive_block(compose(p1, s)) for s in paulis))
+
+
+def gate_block(gate: GateSpec) -> GateBlock:
+    """The local block of a gate, read from the algebra-derived caches."""
+    if gate.kind != "CU":
+        return _fixed_block(gate.kind)
+    p0, *p1_paulis = _cu_component_blocks()
+    return p0 + sum(c * b for c, b in zip(_pauli_components(gate.u), p1_paulis))
+
+
+def _apply_sparse(block: GateBlock, positions: list[int], state: HoloState) -> HoloState:
+    """Send every stored amplitude through the block column its gate bits select."""
+    labels = _LABELS[len(positions)]
+    columns = {col: [(row, c) for row, c in zip(labels, coeffs) if c]
+               for col, coeffs in zip(labels, block.T.tolist())}
     out: dict[str, complex] = {}
     for bits, amp in state.amplitudes.items():
         chars = list(bits)
-        for row, coeff in block["".join([bits[p] for p in positions])]:
+        for row, coeff in columns["".join([bits[p] for p in positions])]:
             for p, ch in zip(positions, row):
                 chars[p] = ch
             key = "".join(chars)
@@ -452,14 +507,50 @@ def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     return HoloState(state.nqubits, out)
 
 
+def _apply_dense(block: GateBlock, positions: list[int], state: DenseState) -> DenseState:
+    """Contract the block with the gate's axes of the [2]*N amplitude tensor."""
+    k, n = len(positions), state.nqubits
+    tensor = np.tensordot(block.reshape((2,) * (2 * k)), state.amplitudes.reshape((2,) * n),
+                          axes=(range(k, 2 * k), positions))
+    return DenseState(n, np.moveaxis(tensor, range(k), positions).reshape(-1))
+
+
+def apply_gate(gate: GateSpec, state: HoloState | DenseState) -> HoloState | DenseState:
+    """Apply a gate's local block to a state; the result has the state's form.
+
+    A HoloState's amplitude map goes through the block term by term; a
+    DenseState's vector is contracted with it as a [2]*N tensor.
+    """
+    for q in gate.qubits:
+        if q > state.nqubits:
+            raise ValueError(
+                f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
+    apply = _apply_dense if isinstance(state, DenseState) else _apply_sparse
+    return apply(gate_block(gate), [q - 1 for q in gate.qubits], state)
+
+
+def _dense_pays(state: HoloState) -> bool:
+    n = state.nqubits
+    return fits_dense(n) and (len(state.amplitudes)
+                              >= DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM)
+
+
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
-    """Fold a circuit over a state, gate by gate, in the polynomial picture."""
+    """Fold a circuit over a state, gate by gate, in the polynomial picture.
+
+    The state stays a sparse amplitude map until its term count reaches
+    DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then stays a dense
+    vector (never above MAX_DENSE_QUBITS) and is decoded back to a
+    HoloState, pruned at ZERO_TOL, after the last gate.
+    """
     if circuit.nqubits != state.nqubits:
         raise ValueError(
             f"circuit is for {circuit.nqubits} qubit(s), state has {state.nqubits}")
     for gate in circuit.gates:
+        if isinstance(state, HoloState) and _dense_pays(state):
+            state = DenseState(state.nqubits, state.to_vector())
         state = apply_gate(gate, state)
-    return state
+    return state if isinstance(state, HoloState) else encode_state(state.amplitudes)
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -62,7 +62,7 @@ def atomic_write_text(path: str, text: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -85,12 +85,14 @@ def _reject_duplicate_keys(pairs):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text (byte {exc.start}): {exc.reason}")
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "

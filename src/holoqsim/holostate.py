@@ -35,7 +35,8 @@ import numpy as np
 ZERO_TOL = 1e-14
 # |<psi|psi> - 1| bound used when flagging a state as normalized.
 NORM_TOL = 1e-10
-# Largest register HoloState.to_vector builds a dense vector for.
+# Largest register for which any 2^N amplitude array is built: HoloState.to_vector,
+# the dense gate path of diffop.run_circuit_holo and loop files.
 MAX_DENSE_QUBITS = 24
 
 
@@ -58,12 +59,17 @@ def _check_qubit(qubit: int, nqubits: int) -> None:
         raise ValueError(f"qubit index {qubit} out of range 1..{nqubits}")
 
 
+def fits_dense(nqubits: int) -> bool:
+    """True when a register is at most MAX_DENSE_QUBITS, read at call time."""
+    return nqubits <= MAX_DENSE_QUBITS
+
+
 def require_dense(nqubits: int) -> None:
     """Raise ValueError when a register is above MAX_DENSE_QUBITS.
 
     Call it before allocating any 2^N amplitude array.
     """
-    if nqubits > MAX_DENSE_QUBITS:
+    if not fits_dense(nqubits):
         raise ValueError(
             f"{nqubits} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit "
             f"for dense 2^N amplitude vectors")
@@ -261,7 +267,7 @@ class HoloState:
         self.nqubits = nqubits
         clean: dict[str, complex] = {}
         for bits, amp in amplitudes.items():
-            if len(bits) != nqubits or any(ch not in "01" for ch in bits):
+            if not isinstance(bits, str) or len(bits) != nqubits or bits.strip("01"):
                 raise ValueError(
                     f"bad basis label {bits!r} for {nqubits} qubit(s)")
             c = complex(amp)
@@ -339,8 +345,8 @@ def encode_state(amplitudes: np.ndarray | list | dict[str, complex],
         raise ValueError(f"amplitude vector length {v.size} is not a power of two >= 2")
     # Written as not (|v| <= tol) so that a non-finite entry reaches HoloState,
     # which rejects it.
-    amps = {format(k, f"0{n}b"): v[k] for k in range(v.size)
-            if not abs(v[k]) <= ZERO_TOL}
+    kept = np.flatnonzero(~(np.abs(v) <= ZERO_TOL))
+    amps = {format(k, f"0{n}b"): c for k, c in zip(kept.tolist(), v[kept].tolist())}
     return HoloState(n, amps)
 
 

@@ -603,13 +603,18 @@ def test_unknown_subcommand_exits_2(capsys):
     (["diff", "--circuit", "{dir}", "--state", "{state}"], "{dir}"),
     (["holonomy", "--loop", "{dir}"], "{dir}"),
     (["diff", "--circuit", "{circuit}", "--state", "{state}", "--out", "{dir}"], "{dir}"),
+    (["simulate", "--circuit", "{circuit}", "--state", "{utf16}",
+      "--out", "{file}.out"], "{utf16}"),
+    (["holonomy", "--loop", "{utf16}"], "{utf16}"),
 ])
 def test_unusable_path_exits_2_naming_it(bell_files, tmp_path, capsys, argv, bad):
     circ, state = bell_files
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "utf16").write_bytes(b'\xff\xfe{"n": 1}')  # a UTF-16 byte-order mark
     names = {"file": str(tmp_path / "file"), "dir": str(tmp_path / "dir"),
-             "missing": str(tmp_path / "missing"), "circuit": circ, "state": state}
+             "missing": str(tmp_path / "missing"), "circuit": circ, "state": state,
+             "utf16": str(tmp_path / "utf16")}
     code, _, stderr = run_cli(capsys, *(a.format(**names) for a in argv))
     assert code == 2
     assert stderr.startswith("error:")

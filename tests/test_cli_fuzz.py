@@ -131,11 +131,12 @@ LOOP = '{"n": 1, "states": [{"0": [1.0, 0.0]}, {"0": [0.6, 0.8]}, {"0": [1.0, 0.
 @example((ONE_QUBIT, '{"n": 1, "gates": [{"kind": [], "qubits": [1]}]}', LOOP))
 @example((ONE_QUBIT, '{"n": 2, "gates": [{"kind": "CU", "qubits": [1, 2], '
                      '"u": [[{}, [0, 0]], [[0, 0], [1, 0]]]}]}', LOOP))
+@example((b'\xff\xfe{"n": 1}', b'\xff\xfe{"n": 1}', b'\xff\xfe{"n": 1}'))
 def test_fuzzed_files_through_file_commands(files):
     with tempfile.TemporaryDirectory() as tmp:
         state, circuit, loop = (Path(tmp, name) for name in ("s.json", "c.json", "l.json"))
         for path, text in zip((state, circuit, loop), files):
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = Path(tmp, "out.json")
 
         code, _ = run("simulate", "--circuit", circuit, "--state", state, "--out", out)

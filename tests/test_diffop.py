@@ -1,6 +1,7 @@
 """Differential operators, substitutions, gate specs, and circuit runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from holoqsim import (
     Circuit,
     DiffOperator,
     GateSpec,
+    HoloState,
     SparsePoly,
     StateVector,
     Substitution,
@@ -29,11 +31,17 @@ from holoqsim import (
     sb_inner_product,
     to_poly,
 )
+from holoqsim import holostate
 from holoqsim.diffop import (
+    DENSE_AMPLITUDES_PER_TERM,
+    DENSE_MIN_TERMS,
     GATE_ARITY,
+    DenseState,
+    _local_operator,
     cnot_op,
     cz_op,
     derive_block,
+    gate_block,
     hadamard_op,
     pauli_x,
     pauli_y,
@@ -419,11 +427,8 @@ def test_diffop_form_matches_substitution_form():
     for op, sub in ((hadamard_op(1, 1), Substitution.hadamard(1, 1)),
                     (swap_op(1, 2, 2), Substitution.swap(2, 1, 2))):
         a, b = derive_block(op), derive_block(sub)
-        assert a.keys() == b.keys()
-        for bits in a:
-            col_a, col_b = dict(a[bits]), dict(b[bits])
-            assert col_a.keys() == col_b.keys()
-            assert all(abs(col_a[r] - col_b[r]) < 1e-15 for r in col_a)
+        assert np.array_equal(a != 0, b != 0)
+        assert np.max(np.abs(a - b)) < 1e-15
 
 
 def test_haar_random_unitary_is_unitary():
@@ -456,13 +461,10 @@ def run_circuit_symbolic(circuit, state, operator=gate_operator):
     return state
 
 
-@st.composite
-def circuits_with_every_kind(draw):
-    """A circuit holding every gate kind, at least one pair in reversed order."""
-    n = draw(st.integers(2, 6))
+def every_kind_gates(draw, n, gates):
+    """Append each gate kind once, then up to 4 more; the first pair gate reversed."""
     kinds = draw(st.permutations(ALL_KINDS)) + draw(
         st.lists(st.sampled_from(ALL_KINDS), max_size=4))
-    gates = []
     for kind in kinds:
         if GATE_ARITY[kind] == 1:
             gates.append(GateSpec(kind, (draw(st.integers(1, n)),)))
@@ -474,23 +476,96 @@ def circuits_with_every_kind(draw):
         if kind == "CU":
             u = haar_random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
         gates.append(GateSpec(kind, tuple(pair), u))
-    v0 = random_state_vector(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
-    return Circuit(n, tuple(gates)), v0
+    return Circuit(n, tuple(gates))
+
+
+@st.composite
+def circuits_with_every_kind(draw):
+    """A circuit holding every gate kind, on a start state either side of the crossover.
+
+    A start state with fewer than DENSE_MIN_TERMS terms begins on the sparse
+    path; a full one at N >= 4 begins on the dense path.  Full states stop at
+    N = 6, where the symbolic reference still takes milliseconds per gate.
+    """
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v0 = random_state_vector(rng, n)
+    if n > 6 or draw(st.booleans()):
+        terms = draw(st.integers(1, min(DENSE_MIN_TERMS - 1, 2 ** n)))
+        v0[rng.choice(2 ** n, 2 ** n - terms, replace=False)] = 0
+        v0 /= np.linalg.norm(v0)
+    return every_kind_gates(draw, n, []), v0
+
+
+@st.composite
+def hadamards_from_zero(draw):
+    """|0...0> at N = 6 through H on every qubit, past the crossover, then every kind."""
+    hadamards = [GateSpec("H", (q,)) for q in range(1, 7)]
+    return every_kind_gates(draw, 6, hadamards), np.eye(64)[0].astype(complex)
+
+
+def fold_gates(circuit, state):
+    for gate in circuit.gates:
+        state = apply_gate(gate, state)
+    return state
 
 
 @settings(deadline=None, max_examples=50)
-@given(circuits_with_every_kind())
+@given(circuits_with_every_kind() | hadamards_from_zero())
 def test_compiled_blocks_match_symbolic_oracle_and_diffop_form(case):
     circ, v0 = case
     psi = encode_state(v0)
-    compiled = run_circuit_holo(circ, psi).to_vector()
+    sparse = fold_gates(circ, psi)
+    dense = fold_gates(circ, DenseState(circ.nqubits, v0))
+    assert isinstance(sparse, HoloState) and isinstance(dense, DenseState)
+    compiled = [run_circuit_holo(circ, psi).to_vector(), sparse.to_vector(), dense.amplitudes]
     references = [
         run_circuit_symbolic(circ, psi).to_vector(),
         run_circuit_matrix(circ, StateVector(v0)).amplitudes,
         run_circuit_symbolic(circ, psi, operator_twin).to_vector(),
     ]
-    for ref in references:
-        assert np.max(np.abs(compiled - ref)) < 1e-10
+    for got in compiled:
+        for ref in references:
+            assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_dense_path_stays_off_above_max_dense_qubits(monkeypatch):
+    rng = np.random.default_rng(41)
+    circ = random_circuit(rng, 4, 24)
+    psi = encode_state(random_state_vector(rng, 4))
+    assert len(psi.amplitudes) >= DENSE_MIN_TERMS + 16 // DENSE_AMPLITUDES_PER_TERM
+    expected = run_circuit_holo(circ, psi)
+    monkeypatch.setattr(holostate, "MAX_DENSE_QUBITS", 3)
+    with pytest.raises(ValueError, match="3-qubit limit"):
+        psi.to_vector()  # what the dense path would call to go dense
+    got = run_circuit_holo(circ, psi)
+    assert got.amplitudes.keys() == expected.amplitudes.keys()
+    assert max(abs(got.amplitudes[b] - expected.amplitudes[b]) for b in got.amplitudes) < 1e-12
+
+
+def test_sixteen_term_wide_circuit_allocates_no_dense_tensor():
+    n = 18
+    gates = [GateSpec("H", (q,)) for q in (3, 9, 14, 18)]
+    gates += [GateSpec(kind, (q, q % n + 1)) for kind in ("CNOT", "SWAP", "CZ")
+              for q in range(1, n + 1)]
+    circ = Circuit(n, tuple(gates))
+    psi = encode_state({"0" * n: 1.0})
+    tracemalloc.start()
+    try:
+        out = run_circuit_holo(circ, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.amplitudes) == 16
+    assert peak < 16 * 2 ** n // 8  # a dense vector alone would be 16 * 2^N bytes
+
+
+def test_cu_blocks_from_cached_components_match_derivation():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        u = haar_random_unitary(rng)
+        block = gate_block(GateSpec("CU", (1, 2), u))
+        assert np.max(np.abs(block - derive_block(_local_operator("CU", u)))) <= 1e-15
 
 
 @pytest.mark.parametrize("make", [

@@ -24,9 +24,10 @@ array, so "n" above MAX_DENSE_QUBITS is refused before allocation.
 Trajectory file (CSV): header "t, phi_a_1, phi_b_1, ..., sum_phase_1, ..."
 then one row per sample.
 
-All floats are printed with 17 significant digits so values round-trip
-exactly, and every writer goes through an atomic temp-file + rename so a
-crash cannot leave a half-written output.
+Every float writer (states, circuits, reports, CSV rows) prints a float
+as "%.17g", 17 significant digits, so values round-trip exactly; -0.0
+prints as "-0".  Every writer goes through an atomic temp-file + rename
+so a crash cannot leave a half-written output.
 """
 
 from __future__ import annotations
@@ -141,24 +142,44 @@ def dump_json_text(obj) -> str:
 # -- states -----------------------------------------------------------
 
 
+# What json makes of a JSON number.  Pairs test the exact type, so a bool,
+# which is an int subclass, is refused.
+_JSON_NUMBERS = (int, float)
+
+
+def _complex_pair(pair, what: str) -> complex:
+    """complex(re, im) of a JSON [re, im] pair of exactly two numbers.
+
+    Anything else, and an integer too large for a float, is a FormatError
+    that starts with `what`, which names the file and the pair.
+    """
+    if (type(pair) is not list or len(pair) != 2
+            or type(pair[0]) not in _JSON_NUMBERS or type(pair[1]) not in _JSON_NUMBERS):
+        raise FormatError(f"{what} must be a [real, imag] pair")
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise FormatError(f"{what} is too large for a float") from None
+
+
 def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: amplitudes must be an object")
     amps: dict[str, complex] = {}
     for bits, pair in obj.items():
-        if len(bits) != nqubits or any(ch not in "01" for ch in bits):
+        if len(bits) != nqubits or bits.strip("01"):
             raise FormatError(
                 f"{where}: key {bits!r} is not a {nqubits}-bit string of 0/1")
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
-            raise FormatError(
-                f"{where}: amplitude of {bits!r} must be a [real, imag] pair")
-        try:
-            amps[bits] = complex(float(pair[0]), float(pair[1]))
-        except OverflowError:
-            raise FormatError(f"{where}: amplitude of {bits!r} is too large for a float")
-        if not cmath.isfinite(amps[bits]):
+        # Two floats, by far the common case, skip the call; the shared check
+        # decides every other value.
+        if (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is float and type(pair[1]) is float):
+            amp = complex(pair[0], pair[1])
+        else:
+            amp = _complex_pair(pair, f"{where}: amplitude of {bits!r}")
+        if not cmath.isfinite(amp):
             raise FormatError(f"{where}: amplitude of {bits!r} is not finite")
+        amps[bits] = amp
     return amps
 
 
@@ -184,14 +205,16 @@ def load_state(path: str) -> HoloState:
     return state_from_obj(_load_json(path), where=path)
 
 
-def state_to_obj(state: HoloState) -> dict:
-    amps = {bits: [state.amplitudes[bits].real, state.amplitudes[bits].imag]
-            for bits in sorted(state.amplitudes)}
-    return {"n": state.nqubits, "amplitudes": amps}
+def state_text(state: HoloState) -> str:
+    """The state file, amplitudes in label order, in dump_json_text's layout."""
+    amps = ",\n".join(['    "%s": [%.17g, %.17g]' % (bits, amp.real, amp.imag)
+                       for bits, amp in sorted(state.amplitudes.items())])
+    amps = "{\n" + amps + "\n  }" if amps else "{}"
+    return '{\n  "n": %d,\n  "amplitudes": %s\n}\n' % (state.nqubits, amps)
 
 
 def save_state(path: str, state: HoloState) -> None:
-    atomic_write_text(path, dump_json_text(state_to_obj(state)))
+    atomic_write_text(path, state_text(state))
 
 
 # -- circuits ---------------------------------------------------------
@@ -219,13 +242,8 @@ def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
             if (not isinstance(raw, list) or len(raw) != 2
                     or any(not isinstance(row, list) or len(row) != 2 for row in raw)):
                 raise FormatError(f'{whereg}: "u" must be a 2x2 matrix of [re, im] pairs')
-            try:
-                u = np.array([[complex(float(cell[0]), float(cell[1])) for cell in row]
-                              for row in raw])
-            except (LookupError, TypeError, ValueError):
-                raise FormatError(f'{whereg}: "u" entries must be [re, im] pairs')
-            except OverflowError:
-                raise FormatError(f'{whereg}: a "u" entry is too large for a float')
+            u = np.array([[_complex_pair(cell, f'{whereg}: a "u" entry') for cell in row]
+                          for row in raw])
         elif "u" in entry:
             raise FormatError(f'{whereg}: only CU takes a "u" block')
         try:
@@ -283,9 +301,11 @@ def load_loop(path: str) -> StateLoop:
 
 def csv_text(columns: list[str], rows) -> str:
     """CSV text: the ", "-joined column names, then one such line of
-    format_float values per row, each row taken as it is produced."""
+    "%.17g" values per row, each row taken as it is produced.  A row holds
+    one number per column."""
+    row_format = ", ".join(["%.17g"] * len(columns))
     lines = [", ".join(columns)]
-    lines += [", ".join(map(format_float, row)) for row in rows]
+    lines += [row_format % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -295,7 +315,7 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     for j in range(1, n + 1):
         cols += [f"phi_a_{j}", f"phi_b_{j}"]
     cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
-    rows = ([t, *phases, *sums] for t, phases, sums in zip(
+    rows = ((t, *phases, *sums) for t, phases, sums in zip(
         traj.times.tolist(), traj.phases.tolist(), traj.sum_phases.tolist()))
     return csv_text(cols, rows)
 

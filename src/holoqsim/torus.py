@@ -32,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 
 GENERATORS = ("X", "Y", "Z")
 
+# Most steps one fixed-step grid may hold; it is refused before any list is
+# built.  The benchmark's longest flow has 10 000 steps.
+MAX_FLOW_STEPS = 10**7
+
 
 class SingularityError(ValueError):
     """Raised when a torus map is evaluated too close to a singular locus."""
@@ -147,14 +151,23 @@ def fixed_steps(t_final: float, dt: float) -> tuple[list[float], list[float]]:
     remainder; steps is nfull steps of dt, then that remainder.  The 1e-9
     slack in the floor keeps a t_final that dt divides up to rounding at
     nfull full steps, and a remainder of at most 1e-12 is dropped, so the
-    sample at index k sits at exactly k*dt.
+    sample at index k sits at exactly k*dt.  A grid of more than
+    MAX_FLOW_STEPS steps is a ValueError.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    nfull = int(math.floor(t_final / dt + 1e-9))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt = {t_final!r} / {dt!r} overflows a float")
+    nfull = int(math.floor(ratio + 1e-9))
     rem = t_final - nfull * dt
+    nsteps = nfull + 1 if rem > 1e-12 else nfull
+    if nsteps > MAX_FLOW_STEPS:
+        raise ValueError(
+            f"t_final / dt = {t_final!r} / {dt!r} asks for {nsteps} steps, "
+            f"more than MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     times = [k * dt for k in range(nfull + 1)]
     steps = [dt] * nfull
     if rem > 1e-12:

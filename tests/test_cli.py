@@ -10,6 +10,7 @@ import pytest
 
 import holoqsim.cli
 import holoqsim.geometry
+import holoqsim.torus
 from holoqsim import MAX_DENSE_QUBITS
 from holoqsim.cli import main
 from holoqsim.geometry import overlap_distance
@@ -110,6 +111,28 @@ def test_simulate_huge_integer_amplitude_exits_2(tmp_path, capsys):
                               "--out", str(tmp_path / "o.json"))
     assert code == 2
     assert "too large" in stderr
+
+
+@pytest.mark.parametrize("state_text, circuit_text", [
+    ('{"n": 2, "amplitudes": {"00": [true, false]}}', BELL_CIRCUIT),
+    (ZERO2, '{"n": 2, "gates": [{"kind": "CU", "qubits": [1, 2], '
+            '"u": [[[1, 0], [0, 0]], [[0, 0], "10"]]}]}'),
+    (ZERO2, '{"n": 2, "gates": [{"kind": "CU", "qubits": [1, 2], '
+            '"u": [[[1, 0], [0, 0]], [[0, 0], [1, 0, 5]]]}]}'),
+])
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+def test_non_number_pair_exits_2(tmp_path, capsys, command, state_text, circuit_text):
+    state = tmp_path / "state.json"
+    state.write_text(state_text)
+    circ = tmp_path / "circ.json"
+    circ.write_text(circuit_text)
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run_cli(capsys, command, "--circuit", str(circ),
+                                   "--state", str(state), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "must be a [real, imag] pair" in stderr
+    assert not out.exists()
 
 
 # -- diff -------------------------------------------------------------
@@ -314,6 +337,31 @@ def test_infinite_time_grid_exits_2(tmp_path, capsys, command, flag):
     assert code == 2
     assert stdout == ""
     assert "finite" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["portrait", "classical-evolve"])
+def test_time_grid_ratio_overflow_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if command == "portrait" else ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, command, "--generator", "X",
+                                   "--t-final", "1e300", "--dt", "1e-300", *target)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: t_final / dt = 1e+300 / 1e-300 overflows a float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["portrait", "classical-evolve"])
+def test_time_grid_above_step_cap_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(holoqsim.torus, "MAX_FLOW_STEPS", 99)
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if command == "portrait" else ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, command, "--generator", "X",
+                                   "--t-final", "1", "--dt", "0.01", *target)
+    assert code == 2
+    assert stdout == ""
+    assert "asks for 100 steps, more than MAX_FLOW_STEPS = 99" in stderr
     assert not out.exists()
 
 

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoqsim import (
     Circuit,
@@ -22,7 +25,14 @@ from holoqsim import (
     save_state,
     save_trajectory,
 )
-from holoqsim.fileio import FormatError, dump_json_text, format_float, trajectory_csv_text
+from holoqsim.fileio import (
+    FormatError,
+    csv_text,
+    dump_json_text,
+    format_float,
+    trajectory_csv_text,
+)
+from holoqsim.holostate import HoloState
 
 SQ2 = math.sqrt(2.0)
 
@@ -88,6 +98,45 @@ def test_state_rejects_non_finite_amplitude(tmp_path, value):
                  '{"n": 1, "amplitudes": {"0": [1, 0], "1": [%s, 0]}}' % value)
     with pytest.raises(FormatError, match="not finite"):
         load_state(path)
+
+
+# Values a [re, im] pair may not hold: bools, strings, a bare string, a
+# wrong length, and anything that is not a list.
+NON_NUMBER_PAIRS = ["[true, false]", "[1, true]", '["1", "0"]', '"10"', "[1, 0, 5]",
+                    "[1]", "{}", "null", "[[1], 0]"]
+
+
+@pytest.mark.parametrize("pair", NON_NUMBER_PAIRS)
+def test_state_and_loop_refuse_non_number_pair(tmp_path, pair):
+    path = write(tmp_path, "state.json", '{"n": 1, "amplitudes": {"0": %s}}' % pair)
+    with pytest.raises(FormatError) as err:
+        load_state(path)
+    assert str(err.value) == f"{path}: amplitude of '0' must be a [real, imag] pair"
+    path = write(tmp_path, "loop.json", '{"n": 1, "states": [{"1": %s}]}' % pair)
+    with pytest.raises(FormatError) as err:
+        load_loop(path)
+    assert str(err.value) == f"{path}: state 0: amplitude of '1' must be a [real, imag] pair"
+
+
+@pytest.mark.parametrize("cell", NON_NUMBER_PAIRS)
+def test_cu_refuses_non_number_cell(tmp_path, cell):
+    path = write(tmp_path, "circ.json",
+                 '{"n": 2, "gates": [{"kind": "X", "qubits": [1]}, '
+                 '{"kind": "CU", "qubits": [1, 2], '
+                 '"u": [[[1, 0], [0, 0]], [[0, 0], %s]]}]}' % cell)
+    with pytest.raises(FormatError) as err:
+        load_circuit(path)
+    assert str(err.value) == f'{path}: gate 1: a "u" entry must be a [real, imag] pair'
+
+
+def test_integer_pairs_load_as_numbers(tmp_path):
+    path = write(tmp_path, "state.json",
+                 '{"n": 2, "amplitudes": {"01": [0, 1], "10": [-0.0, 0]}}')
+    assert load_state(path).amplitudes == {"01": 1j}
+    path = write(tmp_path, "circ.json",
+                 '{"n": 2, "gates": [{"kind": "CU", "qubits": [2, 1], '
+                 '"u": [[[0, 0], [1, 0]], [[1, 0], [0.0, 0]]]}]}')
+    assert np.array_equal(load_circuit(path).gates[0].u, [[0, 1], [1, 0]])
 
 
 def test_state_rejects_missing_keys(tmp_path):
@@ -246,6 +295,58 @@ def test_dump_json_parses_and_preserves_floats():
     assert back["x"] == 1.0 / 3.0
     assert back["list"] == [1, 2.5, "s"]
     assert back["flag"] is True and back["none"] is None
+
+
+# Signed zero, the smallest subnormal, a huge value, 1/3 and 1, with
+# labels given out of order.  The literals pin the writers' exact bytes.
+PINNED_STATE = HoloState(3, {"110": complex(1.0, 5e-324), "001": complex(-0.0, 1 / 3),
+                             "100": complex(1e308, -0.0), "000": complex(1 / 3, 1.0)})
+PINNED_STATE_TEXT = (
+    '{\n  "n": 3,\n  "amplitudes": {\n'
+    '    "000": [0.33333333333333331, 1],\n'
+    '    "001": [-0, 0.33333333333333331],\n'
+    '    "100": [1e+308, -0],\n'
+    '    "110": [1, 4.9406564584124654e-324]\n'
+    '  }\n}\n')
+PINNED_CSV_TEXT = ("t, x, y\n-0, 4.9406564584124654e-324, 1e+308\n"
+                   "0.33333333333333331, 1, -0.33333333333333331\n")
+
+
+def test_save_state_pinned_bytes(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(str(path), PINNED_STATE)
+    assert path.read_text() == PINNED_STATE_TEXT
+    save_state(str(path), HoloState(2, {}))
+    assert path.read_text() == '{\n  "n": 2,\n  "amplitudes": {}\n}\n'
+
+
+def test_csv_text_pinned_bytes():
+    rows = [[-0.0, 5e-324, 1e308], (1 / 3, 1.0, -1 / 3)]
+    assert csv_text(["t", "x", "y"], iter(rows)) == PINNED_CSV_TEXT
+
+
+finite_parts = st.floats(-1e300, 1e300)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.data())
+def test_state_file_is_dump_json_layout_and_round_trips_property(n, data):
+    labels = data.draw(st.lists(st.integers(0, 2 ** n - 1), max_size=2 ** n, unique=True))
+    parts = data.draw(st.lists(st.tuples(finite_parts, finite_parts),
+                               min_size=len(labels), max_size=len(labels)))
+    state = HoloState(n, {format(k, f"0{n}b"): complex(re, im)
+                          for k, (re, im) in zip(labels, parts)})
+    doc = {"n": n, "amplitudes": {bits: [amp.real, amp.imag]
+                                  for bits, amp in sorted(state.amplitudes.items())}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        save_state(path, state)
+        text = Path(path).read_text()
+        assert text == dump_json_text(doc)
+        back = load_state(path)
+        assert back == state
+        save_state(path, back)
+        assert Path(path).read_text() == text
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import holoqsim.torus as torus
 from holoqsim import (
     FlowSpec,
     GateSpec,
@@ -455,8 +456,16 @@ def test_fixed_steps_dividing_and_partial_grids():
 
 @pytest.mark.parametrize("t_final, dt", [
     (math.inf, 0.1), (math.nan, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1),
-    (1.0, math.nan), (1.0, math.inf),
+    (1.0, math.nan), (1.0, math.inf), (1e300, 1e-300), (1.0, 5e-324),
 ])
 def test_fixed_steps_rejects_bad_grid(t_final, dt):
     with pytest.raises(ValueError):
         fixed_steps(t_final, dt)
+
+
+def test_fixed_steps_caps_step_count(monkeypatch):
+    monkeypatch.setattr(torus, "MAX_FLOW_STEPS", 10)
+    assert len(fixed_steps(1.0, 0.1)[1]) == 10
+    for t_final in (1.05, 1.1):  # ten full steps and a remainder; eleven full steps
+        with pytest.raises(ValueError, match="asks for 11 steps, more than MAX_FLOW_STEPS = 10"):
+            fixed_steps(t_final, 0.1)

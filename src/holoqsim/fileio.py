@@ -26,7 +26,7 @@ then one row per sample.
 
 Every float writer (states, circuits, reports, CSV rows) prints a float
 as "%.17g", 17 significant digits, so values round-trip exactly; -0.0
-prints as "-0".  Every writer goes through an atomic temp-file + rename
+prints as "-0", and every reader loads "-0" back as -0.0.  Every writer goes through an atomic temp-file + rename
 so a crash cannot leave a half-written output.
 """
 
@@ -84,10 +84,16 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
+def _json_int(token: str):
+    """json's parse_int: "-0" is the writers' -0.0, so it keeps its sign."""
+    return -0.0 if token == "-0" else int(token)
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
+            return json.load(fh, object_pairs_hook=_reject_duplicate_keys,
+                             parse_int=_json_int)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
     except OSError as exc:

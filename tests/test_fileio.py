@@ -320,6 +320,16 @@ def test_save_state_pinned_bytes(tmp_path):
     assert path.read_text() == '{\n  "n": 2,\n  "amplitudes": {}\n}\n'
 
 
+def test_pinned_state_reloads_with_signed_zeros(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(PINNED_STATE_TEXT)
+    back = load_state(str(path))
+    assert math.copysign(1.0, back.amplitudes["001"].real) == -1.0
+    assert math.copysign(1.0, back.amplitudes["100"].imag) == -1.0
+    save_state(str(path), back)
+    assert path.read_text() == PINNED_STATE_TEXT
+
+
 def test_csv_text_pinned_bytes():
     rows = [[-0.0, 5e-324, 1e308], (1 / 3, 1.0, -1 / 3)]
     assert csv_text(["t", "x", "y"], iter(rows)) == PINNED_CSV_TEXT

@@ -26,7 +26,7 @@ then one row per sample.
 
 Every float writer (states, circuits, reports, CSV rows) prints a float
 as "%.17g", 17 significant digits, so values round-trip exactly; -0.0
-prints as "-0", and every reader loads "-0" back as -0.0.  Every writer goes through an atomic temp-file + rename
+prints as "-0".  Every writer goes through an atomic temp-file + rename
 so a crash cannot leave a half-written output.
 """
 
@@ -84,16 +84,10 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def _json_int(token: str):
-    """json's parse_int: "-0" is the writers' -0.0, so it keeps its sign."""
-    return -0.0 if token == "-0" else int(token)
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_reject_duplicate_keys,
-                             parse_int=_json_int)
+            return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
     except OSError as exc:
@@ -153,19 +147,20 @@ def dump_json_text(obj) -> str:
 _JSON_NUMBERS = (int, float)
 
 
-def _complex_pair(pair, what: str) -> complex:
+def _complex_pair(pair, where: str, what: str, *args) -> complex:
     """complex(re, im) of a JSON [re, im] pair of exactly two numbers.
 
     Anything else, and an integer too large for a float, is a FormatError
-    that starts with `what`, which names the file and the pair.
+    that starts "<where>: <what % args>".  The message is formatted only
+    when it is raised, so a valid pair costs no string work.
     """
     if (type(pair) is not list or len(pair) != 2
             or type(pair[0]) not in _JSON_NUMBERS or type(pair[1]) not in _JSON_NUMBERS):
-        raise FormatError(f"{what} must be a [real, imag] pair")
+        raise FormatError(f"{where}: {what % args} must be a [real, imag] pair")
     try:
         return complex(pair[0], pair[1])
     except OverflowError:
-        raise FormatError(f"{what} is too large for a float") from None
+        raise FormatError(f"{where}: {what % args} is too large for a float") from None
 
 
 def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
@@ -176,13 +171,7 @@ def _amplitudes_from_obj(obj, nqubits: int, where: str) -> dict[str, complex]:
         if len(bits) != nqubits or bits.strip("01"):
             raise FormatError(
                 f"{where}: key {bits!r} is not a {nqubits}-bit string of 0/1")
-        # Two floats, by far the common case, skip the call; the shared check
-        # decides every other value.
-        if (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is float and type(pair[1]) is float):
-            amp = complex(pair[0], pair[1])
-        else:
-            amp = _complex_pair(pair, f"{where}: amplitude of {bits!r}")
+        amp = _complex_pair(pair, where, "amplitude of %r", bits)
         if not cmath.isfinite(amp):
             raise FormatError(f"{where}: amplitude of {bits!r} is not finite")
         amps[bits] = amp
@@ -248,7 +237,7 @@ def circuit_from_obj(doc, where: str = "circuit") -> Circuit:
             if (not isinstance(raw, list) or len(raw) != 2
                     or any(not isinstance(row, list) or len(row) != 2 for row in raw)):
                 raise FormatError(f'{whereg}: "u" must be a 2x2 matrix of [re, im] pairs')
-            u = np.array([[_complex_pair(cell, f'{whereg}: a "u" entry') for cell in row]
+            u = np.array([[_complex_pair(cell, whereg, 'a "u" entry') for cell in row]
                           for row in raw])
         elif "u" in entry:
             raise FormatError(f'{whereg}: only CU takes a "u" block')

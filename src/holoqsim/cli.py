@@ -46,8 +46,7 @@ from .geometry import (
 from .holostate import norm_rows
 from .oracle import StateVector, compare_states, run_circuit_matrix
 from .semiclassical import pauli_hamiltonian, propagator
-from .torus import (GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow,
-                    wrap_angle)
+from .torus import GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -148,8 +147,7 @@ def cmd_portrait(args) -> int:
     idx = 0
     for sigma0 in offsets:
         for delta0 in deltas:
-            start = TorusPoint((wrap_angle(0.5 * (sigma0 + delta0)),
-                                wrap_angle(0.5 * (sigma0 - delta0))))
+            start = TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0)))
             traj = integrate_flow(spec, start)
             fname = f"portrait_{generator.lower()}_{idx:02d}.csv"
             save_trajectory(os.path.join(args.out_dir, fname), traj)

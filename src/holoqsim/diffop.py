@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import NamedTuple
@@ -256,9 +257,14 @@ class GateSpec:
     u: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
+        if not isinstance(self.kind, str) or self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        qs = tuple(int(q) for q in self.qubits)
+        try:  # operator.index takes numpy integers and refuses floats; bools are refused here
+            if any(isinstance(q, bool) for q in self.qubits):
+                raise TypeError
+            qs = tuple(operator.index(q) for q in self.qubits)
+        except TypeError:
+            raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
         object.__setattr__(self, "qubits", qs)
         if len(qs) != GATE_ARITY[self.kind]:
             raise ValueError(
@@ -344,6 +350,13 @@ def _pauli_components(u: np.ndarray) -> tuple[complex, complex, complex, complex
     return u0, ux, uy, uz
 
 
+def _cu_terms(control: int, target: int, nqubits: int) -> tuple[DiffOperator, ...]:
+    """P0_c and P1_c times 1, X, Y, Z on the target: the terms of a controlled block."""
+    p0, p1 = _projector_terms(nqubits, control)
+    return (p0, p1, *(compose(p1, pauli(nqubits, target))
+                      for pauli in (pauli_x, pauli_y, pauli_z)))
+
+
 def controlled_u(control: int, target: int, u: np.ndarray,
                  nqubits: int) -> DiffOperator:
     """Controlled 2x2 block via its Pauli components on the target pair.
@@ -357,13 +370,8 @@ def controlled_u(control: int, target: int, u: np.ndarray,
     if u.shape != (2, 2):
         raise ValueError("controlled block must be 2x2")
     _require_unitary(u, "controlled block")
-    u0, ux, uy, uz = _pauli_components(u)
-    p0, p1 = _projector_terms(nqubits, control)
-    block = (u0 * DiffOperator.identity(nqubits)
-             + ux * pauli_x(nqubits, target)
-             + uy * pauli_y(nqubits, target)
-             + uz * pauli_z(nqubits, target))
-    return p0 + compose(p1, block)
+    p0, *p1_paulis = _cu_terms(control, target, nqubits)
+    return sum((c * t for c, t in zip(_pauli_components(u), p1_paulis)), p0)
 
 
 def cnot_op(control: int, target: int, nqubits: int) -> DiffOperator:
@@ -478,9 +486,7 @@ def _cu_component_blocks() -> tuple[GateBlock, ...]:
     A CU block is linear in the Pauli components of its u, so these five
     derivations serve every CU.
     """
-    p0, p1 = _projector_terms(2, 1)
-    paulis = (DiffOperator.identity(2), pauli_x(2, 2), pauli_y(2, 2), pauli_z(2, 2))
-    return (derive_block(p0), *(derive_block(compose(p1, s)) for s in paulis))
+    return tuple(derive_block(t) for t in _cu_terms(1, 2, 2))
 
 
 def gate_block(gate: GateSpec) -> GateBlock:

@@ -42,9 +42,11 @@ class SingularityError(ValueError):
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle into [0, 2*pi)."""
+    """Reduce an angle into [0, 2*pi); a tiny negative x that rounds up to 2*pi gives 0."""
     y = math.fmod(x, TWO_PI)
-    return y + TWO_PI if y < 0.0 else y
+    if y < 0.0:
+        y += TWO_PI
+    return 0.0 if y == TWO_PI else y
 
 
 def signed_angle_diff(x: float, y: float) -> float:

@@ -249,6 +249,22 @@ def test_simulate_nan_amplitude_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amps, message", [
+    ('{"0x": [1, 0]}', "bad basis label '0x' for 2 qubit(s)"),
+    ('{"00": [NaN, 0]}', "amplitude of '00' is not finite: (nan+0j)"),
+], ids=["bad-label", "nan"])
+def test_bad_label_and_nan_amplitude_exit_2_with_message(tmp_path, capsys, amps, message):
+    circ = tmp_path / "h.json"
+    circ.write_text('{"n": 2, "gates": [{"kind": "H", "qubits": [1]}]}')
+    state = tmp_path / "state.json"
+    state.write_text('{"n": 2, "amplitudes": %s}' % amps)
+    out = tmp_path / "out.json"
+    for command in ("simulate", "diff"):
+        assert run_cli(capsys, command, "--circuit", str(circ), "--state", str(state),
+                       "--out", str(out)) == (2, "", f"error: {state}: {message}\n")
+    assert not out.exists()
+
+
 def test_diff_unnormalized_state_exits_2(bell_files, tmp_path, capsys):
     circ, _ = bell_files
     bad = tmp_path / "un.json"

@@ -318,6 +318,22 @@ def test_gatespec_validation():
         GateSpec("X", (1,), np.eye(2))  # stray block
 
 
+@pytest.mark.parametrize("kind, qubits, message", [
+    ("X", (1.9,), r"qubit indices must be integers, got \(1\.9,\)"),
+    ("CNOT", (True, 2), r"qubit indices must be integers, got \(True, 2\)"),
+    (["X"], (1,), r"unknown gate kind \['X'\]"),
+], ids=["float", "bool", "list-kind"])
+def test_gatespec_refuses_non_integer_qubits_and_non_string_kind(kind, qubits, message):
+    with pytest.raises(ValueError, match=message):
+        GateSpec(kind, qubits)
+
+
+def test_gatespec_takes_numpy_integer_qubits():
+    gate = GateSpec("CNOT", (np.int64(2), np.int32(1)))
+    assert gate.qubits == (2, 1)
+    assert all(type(q) is int for q in gate.qubits)
+
+
 def test_circuit_rejects_out_of_range_qubits():
     with pytest.raises(ValueError):
         Circuit(1, (GateSpec("X", (2,)),))

@@ -118,6 +118,34 @@ def test_state_and_loop_refuse_non_number_pair(tmp_path, pair):
     assert str(err.value) == f"{path}: state 0: amplitude of '1' must be a [real, imag] pair"
 
 
+# Two-qubit amplitude maps that HoloState refuses: labels too short, too
+# long or not 0/1, and values that are not finite (1e999 parses as inf).
+BAD_AMPLITUDE_MAPS = [
+    ('{"0": [1, 0]}', "bad basis label '0' for 2 qubit(s)"),
+    ('{"000": [1, 0]}', "bad basis label '000' for 2 qubit(s)"),
+    ('{"02": [1, 0]}', "bad basis label '02' for 2 qubit(s)"),
+    ('{"01": [NaN, 0]}', "amplitude of '01' is not finite: (nan+0j)"),
+    ('{"01": [0, Infinity]}', "amplitude of '01' is not finite: infj"),
+    ('{"01": [1e999, 0]}', "amplitude of '01' is not finite: (inf+0j)"),
+]
+
+
+@pytest.mark.parametrize("amps, message", BAD_AMPLITUDE_MAPS,
+                         ids=["short", "long", "digit-2", "nan", "infinity", "1e999"])
+def test_state_loop_and_holostate_refuse_bad_map_alike(tmp_path, amps, message):
+    with pytest.raises(ValueError) as err:
+        HoloState(2, {bits: complex(*pair) for bits, pair in json.loads(amps).items()})
+    assert str(err.value) == message
+    path = write(tmp_path, "state.json", '{"n": 2, "amplitudes": %s}' % amps)
+    with pytest.raises(FormatError) as err:
+        load_state(path)
+    assert str(err.value) == f"{path}: {message}"
+    path = write(tmp_path, "loop.json", '{"n": 2, "states": [%s]}' % amps)
+    with pytest.raises(FormatError) as err:
+        load_loop(path)
+    assert str(err.value) == f"{path}: state 0: {message}"
+
+
 @pytest.mark.parametrize("cell", NON_NUMBER_PAIRS)
 def test_cu_refuses_non_number_cell(tmp_path, cell):
     path = write(tmp_path, "circ.json",
@@ -205,6 +233,35 @@ def test_circuit_rejects_bad_qubits_field(tmp_path):
                  '{"n": 1, "gates": [{"kind": "X", "qubits": "1"}]}')
     with pytest.raises(FormatError):
         load_circuit(path)
+
+
+# Gate entries of the right JSON shape whose values GateSpec refuses.
+IDENTITY_U = '"u": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'
+BAD_GATE_ENTRIES = [
+    ('{"kind": "FROB", "qubits": [1]}', "unknown gate kind 'FROB'"),
+    ('{"kind": ["X"], "qubits": [1]}', "unknown gate kind ['X']"),
+    ('{"qubits": [1]}', "unknown gate kind None"),
+    ('{"kind": "X", "qubits": [1.5]}', "qubit indices must be integers, got (1.5,)"),
+    ('{"kind": "CNOT", "qubits": [true, 2]}',
+     "qubit indices must be integers, got (True, 2)"),
+    ('{"kind": "X", "qubits": [1], %s}' % IDENTITY_U, "X does not take a unitary block"),
+    ('{"kind": "CU", "qubits": [1, 2]}', "CU requires a 2x2 unitary block"),
+]
+
+
+@pytest.mark.parametrize("entry, message", BAD_GATE_ENTRIES,
+                         ids=["unknown", "list-kind", "no-kind", "float-qubit", "bool-qubit",
+                              "stray-u", "cu-without-u"])
+def test_circuit_and_gatespec_refuse_bad_gate_alike(tmp_path, entry, message):
+    doc = json.loads(entry)
+    u = np.array([[complex(*c) for c in row] for row in doc["u"]]) if "u" in doc else None
+    with pytest.raises(ValueError) as err:
+        GateSpec(doc.get("kind"), tuple(doc["qubits"]), u)
+    assert str(err.value) == message
+    path = write(tmp_path, "circ.json", '{"n": 2, "gates": [%s]}' % entry)
+    with pytest.raises(FormatError) as err:
+        load_circuit(path)
+    assert str(err.value) == f"{path}: gate 0: {message}"
 
 
 # -- loops ------------------------------------------------------------
@@ -320,10 +377,6 @@ def test_save_state_pinned_bytes(tmp_path):
     assert path.read_text() == '{\n  "n": 2,\n  "amplitudes": {}\n}\n'
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="the writers print -0.0 as '-0', which json reads as the "
-                          "integer 0; keeping the sign changes the output bytes of "
-                          "runs fed a state file, so it waits for a format change")
 def test_pinned_state_reloads_with_signed_zeros(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(PINNED_STATE_TEXT)

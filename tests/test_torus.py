@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import holoqsim.torus as torus
 from holoqsim import (
@@ -23,6 +25,7 @@ from holoqsim import (
 )
 from holoqsim.torus import (
     PAIR_HAMILTONIANS,
+    TWO_PI,
     circle_distance,
     fixed_steps,
     hadamard_pair_map,
@@ -44,6 +47,14 @@ def test_wrap_angle_range():
     assert wrap_angle(2 * PI) == 0.0
     assert abs(wrap_angle(-0.1) - (2 * PI - 0.1)) < 1e-15
     assert wrap_angle(7.0) == 7.0 - 2 * PI or abs(wrap_angle(7.0) - (7.0 - 2 * PI)) < 1e-15
+    assert wrap_angle(-1e-17) == 0.0  # 2*pi - 1e-17 rounds to 2*pi, which is angle 0
+
+
+@given(st.floats(-1e6, 1e6) | st.floats(-1e-12, 1e-12))
+def test_wrap_angle_is_in_range_and_idempotent_property(x):
+    w = wrap_angle(x)
+    assert 0.0 <= w < TWO_PI
+    assert wrap_angle(w) == w
 
 
 def test_signed_angle_diff_branch():

@@ -171,6 +171,8 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     state = _load_state_checked(args.state)
     result = maximize_product_overlap(state, restarts=args.restarts, seed=args.seed)
     measure = overlap_distance(result.overlap)

@@ -16,10 +16,21 @@ Fixing every factor but qubit j, the overlap is linear in c_j with
 coefficient vector w_j (the state contracted against the other factors),
 so the best unit c_j is conj(w_j)/||w_j|| and the new overlap is ||w_j||.
 Each update can only raise the overlap, which gives monotone convergence;
-deterministic seeded restarts guard against local maxima.  For two qubits
-the exact answer is available independently from the Schmidt (singular
-value) decomposition: max overlap = largest singular value of the 2x2
-amplitude matrix.
+deterministic seeded restarts guard against local maxima.
+
+A sweep updates c_1 .. c_N in order and reuses partial contractions, as ALS
+sweeps do for tensor trains.  At its start the suffix products
+R_k = c_k x ... x c_N (R_(N+1) = 1) are built right to left, each from the
+next by one outer product.  The left environment L_j is the conjugated
+state with c_1 .. c_(j-1) already absorbed, held as a 2 x 2^(N-j) matrix
+whose rows are qubit j.  Then w_j = L_j R_(j+1) and, once c_j is updated,
+L_(j+1) = c_j L_j.  Both chains halve in size at every step, so a sweep
+costs O(2^N) in all, where contracting the whole state once per factor
+costs O(N 2^N).
+
+For two qubits the exact answer is available independently from the
+Schmidt (singular value) decomposition: max overlap = largest singular
+value of the 2x2 amplitude matrix.
 
 The Berry phase of a closed loop of states is accumulated discretely:
 
@@ -140,17 +151,6 @@ class ProductOverlapResult:
     restarts: tuple[RestartRecord, ...]
 
 
-def _contract_except(conj_tensor: np.ndarray, factors: list[np.ndarray],
-                     skip: int) -> np.ndarray:
-    """w_j: the conjugated state tensor contracted with every factor but one."""
-    n = conj_tensor.ndim
-    operands = [conj_tensor, list(range(n))]
-    for k in range(n):
-        if k != skip:
-            operands += [factors[k], [k]]
-    return np.einsum(*operands, [skip])
-
-
 def maximize_product_overlap(psi: HoloState,
                              restarts: int = DEFAULT_RESTARTS,
                              seed: int = 0,
@@ -159,14 +159,20 @@ def maximize_product_overlap(psi: HoloState,
     """Alternating closed-form ascent of |<psi|product>| with seeded restarts.
 
     Ties between restarts break toward the lower restart index, so results
-    are reproducible for a fixed (seed, restarts) pair.
+    are reproducible for a fixed (seed, restarts) pair.  Restarts whose
+    overlaps tie to within rounding may pick a different witness after any
+    change in summation order; the overlap, and so the measure, is the
+    stable output.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if not (math.isfinite(gain_tol) and gain_tol >= 0.0):
+        raise ValueError(f"gain_tol must be a finite number >= 0, got {gain_tol}")
     _require_normalized(psi, "psi")
     n = psi.nqubits
-    tensor = psi.to_vector().reshape([2] * n)
-    conj_tensor = tensor.conj()
+    conj_vector = psi.to_vector().conj()
 
     best: tuple[float, int] | None = None
     best_factors: list[np.ndarray] = []
@@ -179,16 +185,20 @@ def maximize_product_overlap(psi: HoloState,
             factors.append(v / np.linalg.norm(v))
         overlap = 0.0
         history = []
-        sweeps = 0
         for sweeps in range(1, max_sweeps + 1):
             prev = overlap
-            for j in range(n):
-                w = _contract_except(conj_tensor, factors, j)
-                nw = np.linalg.norm(w)
-                if nw < 1e-15:
-                    continue  # orthogonal trap; leave factor, restarts cover it
-                factors[j] = w.conj() / nw
-                overlap = nw
+            suffixes = [np.ones(1, dtype=complex)]
+            for f in factors[:0:-1]:
+                suffixes.append((f[:, None] * suffixes[-1]).ravel())
+            left = conj_vector
+            for j, right in enumerate(reversed(suffixes)):
+                left = left.reshape(2, -1)
+                w = left @ right
+                nw = math.sqrt(np.vdot(w, w).real)
+                if nw >= 1e-15:  # else an orthogonal trap; keep the factor, restarts cover it
+                    factors[j] = w.conj() / nw
+                    overlap = nw
+                left = factors[j] @ left
             history.append(overlap)
             if overlap - prev < gain_tol:
                 break

@@ -515,6 +515,17 @@ def test_entanglement_nonpositive_restarts_exits_2(tmp_path, capsys, restarts):
     assert "restarts" in stderr
 
 
+@pytest.mark.parametrize("seed", ["-1", "-123456789012345678901"])
+def test_entanglement_negative_seed_exits_2(tmp_path, capsys, seed):
+    state = tmp_path / "bell.json"
+    state.write_text(ZERO2)
+    code, stdout, stderr = run_cli(capsys, "entanglement", "--state", str(state),
+                                   "--seed", seed)
+    assert code == 2
+    assert stdout == ""
+    assert f"--seed must be >= 0, got {seed}" in stderr
+
+
 # -- holonomy ---------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoqsim import (
     Circuit,
@@ -24,7 +26,7 @@ from holoqsim import (
     schmidt_oracle,
 )
 
-from holoqsim.geometry import overlap_distance
+from holoqsim.geometry import GAIN_TOL, MAX_SWEEPS, overlap_distance
 
 from _support import random_state_vector
 
@@ -218,6 +220,56 @@ def test_optimizer_monotone_convergence():
             assert all(b >= a - 1e-14 for a, b in zip(hist, hist[1:]))
 
 
+def reference_restarts(psi, restarts, seed=0):
+    """Independent reference for the optimizer: the same seeded ascent, but
+    each w_j contracts the whole state tensor with every other factor in one
+    einsum, O(N 2^N) per sweep.  Returns (sweeps, overlap, history) per restart."""
+    n = psi.nqubits
+    conj_tensor = psi.to_vector().conj().reshape([2] * n)
+    records = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        factors = []
+        for _ in range(n):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            factors.append(v / np.linalg.norm(v))
+        overlap, history = 0.0, []
+        for _ in range(MAX_SWEEPS):
+            prev = overlap
+            for j in range(n):
+                operands = [conj_tensor, list(range(n))]
+                for k in range(n):
+                    if k != j:
+                        operands += [factors[k], [k]]
+                w = np.einsum(*operands, [j])
+                nw = np.linalg.norm(w)
+                if nw >= 1e-15:
+                    factors[j] = w.conj() / nw
+                    overlap = nw
+            history.append(overlap)
+            if overlap - prev < GAIN_TOL:
+                break
+        records.append((len(history), overlap, history))
+    return records
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_optimizer_matches_full_contraction_reference(n, seed):
+    psi = encode_state(random_state_vector(np.random.default_rng(seed), n))
+    result = maximize_product_overlap(psi, restarts=2, seed=seed)
+    expected = reference_restarts(psi, restarts=2, seed=seed)
+    for record, (sweeps, overlap, history) in zip(result.restarts, expected):
+        assert record.iterations == sweeps
+        assert record.overlap == pytest.approx(overlap, abs=1e-12)
+        assert np.allclose(record.history, history, rtol=0, atol=1e-12)
+    # Restarts that tie within rounding may yield different witnesses, so the
+    # witness is checked through the overlap it attains, not factor by factor.
+    attained = abs(np.vdot(psi.to_vector(), result.witness.amplitude_vector()))
+    assert attained == pytest.approx(result.overlap, abs=1e-12)
+    assert result.overlap == pytest.approx(max(e[1] for e in expected), abs=1e-12)
+
+
 def test_optimizer_deterministic_for_fixed_seed():
     rng = np.random.default_rng(13)
     psi = encode_state(random_state_vector(rng, 3))
@@ -357,3 +409,15 @@ def test_optimizer_rejects_nonpositive_restarts(restarts):
     psi = encode_state(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="restarts"):
         maximize_product_overlap(psi, restarts=restarts)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_optimizer_rejects_nonpositive_max_sweeps(max_sweeps):
+    with pytest.raises(ValueError, match="max_sweeps"):
+        maximize_product_overlap(bell_state(), max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("gain_tol", [math.nan, math.inf, -1e-12])
+def test_optimizer_rejects_gain_tol_that_is_not_finite_and_nonnegative(gain_tol):
+    with pytest.raises(ValueError, match="gain_tol"):
+        maximize_product_overlap(bell_state(), gain_tol=gain_tol)

@@ -1,0 +1,34 @@
+"""The output-byte contract: every golden case gives the digests it gave when recorded.
+
+The corpus and its generator are in tests/golden/; see generate.py there.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location("holoqsim_golden", GOLDEN / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_corpus_digests_are_unchanged(tmp_path):
+    generate = _generator()
+    recorded = json.loads((GOLDEN / "digests.json").read_text())
+    here = generate.environment()
+    if any(recorded[key] != here[key] for key in here):
+        pytest.skip(f"digests were recorded on {', '.join(f'{k} {recorded[k]}' for k in here)}, "
+                    f"this is {', '.join(f'{k} {v}' for k, v in here.items())}")
+    corpus = json.loads((GOLDEN / "cases.json").read_text())
+    assert corpus == generate.build_cases()  # cases.json is what the generator makes
+    digests = generate.run_corpus(corpus, tmp_path)
+    moved = [name for name, digest in recorded["cases"].items() if digests.get(name) != digest]
+    assert digests.keys() == recorded["cases"].keys()
+    assert moved == []

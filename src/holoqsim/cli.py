@@ -10,9 +10,10 @@ Subcommands:
     classical-evolve  quadratic-Hamiltonian flow of pair amplitudes, CSV
 
 Exit codes: 0 success, 1 a requested tolerance was exceeded, 2 malformed
-input or arguments, or an input or output path that cannot be used.  All numeric output is printed with 17 significant
-digits and all file writes are atomic, so runs with identical inputs and
-seeds produce byte-identical outputs.
+input or arguments, or an input or output path that cannot be used.  All
+numeric output is printed with 17 significant digits and all file writes
+are atomic, so runs with identical inputs and seeds produce byte-identical
+outputs.
 """
 
 from __future__ import annotations

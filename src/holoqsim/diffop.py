@@ -41,17 +41,18 @@ each time a block is derived.  The result is a 2^k x 2^k matrix.  Blocks
 of the kinds without parameters are cached per kind.  A CU block is linear
 in the Pauli components of its u, so the five blocks of P0_c and of P1_c
 times 1, X, Y, Z on the target are derived once and each CU block is
-their weighted sum.  `apply_gate` reads that one cache on both of its
-paths: a sparse amplitude map sends every stored amplitude through the
-block column that the bits of the gate's qubits select, and a dense
-2^N vector is contracted with the block as a [2]*N tensor.
-`run_circuit_holo` keeps a state sparse until its term count reaches a
-measured crossover and dense from then on, and decodes it once at the
-end.  The full-register path (`gate_operator` on N qubits, `apply_diffop`,
-`apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
-as the cross-check the tests compare against.  H and SWAP always run
-through their substitutions; their operator forms `hadamard_op` and
-`swap_op` are the tests' cross-check of those.
+their weighted sum.  `apply_gate` reads that one cache for both forms
+of a HoloState: a map form sends every stored amplitude through the
+block column that the bits of the gate's qubits select, and a vector
+form's 2^N array is contracted with the block as a [2]*N tensor.
+`run_circuit_holo` keeps a state in the map form until its term count
+reaches a measured crossover, in the vector form from then on, and
+returns it in the form it ends in.  The full-register path
+(`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
+`to_poly`, `from_poly`) stays as the derivation and as the cross-check
+the tests compare against.  H and SWAP always run through their
+substitutions; their operator forms `hadamard_op` and `swap_op` are the
+tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from .holostate import (
     a_index,
     b_index,
     encode_basis,
-    encode_state,
     fits_dense,
     format_powers,
     from_poly,
@@ -443,13 +442,6 @@ DENSE_AMPLITUDES_PER_TERM = 256
 _LABELS = {k: [format(i, f"0{k}b") for i in range(2 ** k)] for k in (1, 2)}
 
 
-class DenseState(NamedTuple):
-    """A state on the dense path: a flat 2^N amplitude vector, index = bit string."""
-
-    nqubits: int
-    amplitudes: np.ndarray
-
-
 def _local_operator(kind: str, u: np.ndarray | None = None) -> DiffOperator | Substitution:
     """A gate's operator on a register of its own k qubits, relabelled 1..k in its order."""
     k = GATE_ARITY[kind]
@@ -513,25 +505,25 @@ def _apply_sparse(block: GateBlock, positions: list[int], state: HoloState) -> H
     return HoloState(state.nqubits, out)
 
 
-def _apply_dense(block: GateBlock, positions: list[int], state: DenseState) -> DenseState:
+def _apply_dense(block: GateBlock, positions: list[int], state: HoloState) -> HoloState:
     """Contract the block with the gate's axes of the [2]*N amplitude tensor."""
     k, n = len(positions), state.nqubits
-    tensor = np.tensordot(block.reshape((2,) * (2 * k)), state.amplitudes.reshape((2,) * n),
+    tensor = np.tensordot(block.reshape((2,) * (2 * k)), state.vector.reshape((2,) * n),
                           axes=(range(k, 2 * k), positions))
-    return DenseState(n, np.moveaxis(tensor, range(k), positions).reshape(-1))
+    return HoloState(n, np.moveaxis(tensor, range(k), positions).reshape(-1))
 
 
-def apply_gate(gate: GateSpec, state: HoloState | DenseState) -> HoloState | DenseState:
+def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     """Apply a gate's local block to a state; the result has the state's form.
 
-    A HoloState's amplitude map goes through the block term by term; a
-    DenseState's vector is contracted with it as a [2]*N tensor.
+    A map-form state goes through the block term by term; a vector-form
+    state is contracted with it as a [2]*N tensor.
     """
     for q in gate.qubits:
         if q > state.nqubits:
             raise ValueError(
                 f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
-    apply = _apply_dense if isinstance(state, DenseState) else _apply_sparse
+    apply = _apply_sparse if state.vector is None else _apply_dense
     return apply(gate_block(gate), [q - 1 for q in gate.qubits], state)
 
 
@@ -544,19 +536,21 @@ def _dense_pays(state: HoloState) -> bool:
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     """Fold a circuit over a state, gate by gate, in the polynomial picture.
 
-    The state stays a sparse amplitude map until its term count reaches
-    DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then stays a dense
-    vector (never above MAX_DENSE_QUBITS) and is decoded back to a
-    HoloState, pruned at ZERO_TOL, after the last gate.
+    A vector-form start is first pruned to its map.  The state stays in the
+    map form until its term count reaches DENSE_MIN_TERMS + 2^N /
+    DENSE_AMPLITUDES_PER_TERM, then stays in the vector form (never above
+    MAX_DENSE_QUBITS), and is returned in the form it ends in.
     """
     if circuit.nqubits != state.nqubits:
         raise ValueError(
             f"circuit is for {circuit.nqubits} qubit(s), state has {state.nqubits}")
+    if state.vector is not None:
+        state = HoloState(state.nqubits, state.amplitudes)
     for gate in circuit.gates:
-        if isinstance(state, HoloState) and _dense_pays(state):
-            state = DenseState(state.nqubits, state.to_vector())
+        if state.vector is None and _dense_pays(state):
+            state = HoloState(state.nqubits, state.to_vector())
         state = apply_gate(gate, state)
-    return state if isinstance(state, HoloState) else encode_state(state.amplitudes)
+    return state
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -168,6 +168,8 @@ def maximize_product_overlap(psi: HoloState,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not (math.isfinite(gain_tol) and gain_tol >= 0.0):
         raise ValueError(f"gain_tol must be a finite number >= 0, got {gain_tol}")
     _require_normalized(psi, "psi")

@@ -252,19 +252,27 @@ class SparsePoly(TermMap):
 
 
 class HoloState:
-    """An N-qubit state held as its basis-amplitude map.
+    """An N-qubit state, the decoded form of a physical polynomial: a map or a vector.
 
-    This is the decoded form of a physical polynomial: bit string -> complex
-    amplitude, with near-zero amplitudes pruned.  `is_normalized` records
-    whether the 2-norm is within NORM_TOL of one at construction.
+    The map is bit string -> amplitude, checked and pruned at ZERO_TOL on
+    construction.  A vector form keeps a complex 2^N array, index = bit string
+    as binary, read-only and not copied, in `vector` (None for a map).  Both
+    forms read the same, through `amplitudes`: the entries above ZERO_TOL.  A
+    vector's map and finiteness check, and `is_normalized`, are cached on first use.
     """
 
-    __slots__ = ("nqubits", "amplitudes", "is_normalized")
+    __slots__ = ("nqubits", "vector", "_amplitudes", "_is_normalized")
 
-    def __init__(self, nqubits: int, amplitudes: dict[str, complex]):
+    def __init__(self, nqubits: int, amplitudes: dict[str, complex] | np.ndarray):
         if nqubits < 1:
             raise ValueError(f"nqubits must be >= 1, got {nqubits}")
-        self.nqubits = nqubits
+        self.nqubits, self._is_normalized = nqubits, None
+        if isinstance(amplitudes, np.ndarray):
+            if amplitudes.shape != (2 ** nqubits,) or amplitudes.dtype != complex:
+                raise ValueError(f"{nqubits}-qubit vector must be complex of length {2 ** nqubits}")
+            amplitudes.flags.writeable = False
+            self.vector, self._amplitudes = amplitudes, None
+            return
         clean: dict[str, complex] = {}
         for bits, amp in amplitudes.items():
             if not isinstance(bits, str) or len(bits) != nqubits or bits.strip("01"):
@@ -275,8 +283,29 @@ class HoloState:
                 raise ValueError(f"amplitude of {bits!r} is not finite: {c}")
             if abs(c) > ZERO_TOL:
                 clean[bits] = c
-        self.amplitudes = clean
-        self.is_normalized = abs(self.norm() - 1.0) <= NORM_TOL
+        self.vector, self._amplitudes = None, clean
+
+    @property
+    def amplitudes(self) -> dict[str, complex]:
+        """Bit string -> amplitude; a non-finite vector entry raises ValueError naming its label."""
+        if self._amplitudes is None:  # flatnonzero keeps NaN and inf, and allocates per term only
+            n, index = self.nqubits, np.flatnonzero(self.vector)
+            values = self.vector[index]
+            bad = index[~np.isfinite(values)]
+            if bad.size:
+                c = complex(self.vector[bad[0]])
+                raise ValueError(f"amplitude of {format(bad[0], f'0{n}b')!r} is not finite: {c}")
+            kept = np.abs(values) > ZERO_TOL
+            self._amplitudes = {format(k, f"0{n}b"): c for k, c in
+                                zip(index[kept].tolist(), values[kept].tolist())}
+        return self._amplitudes
+
+    @property
+    def is_normalized(self) -> bool:
+        """True when the 2-norm is within NORM_TOL of one."""
+        if self._is_normalized is None:
+            self._is_normalized = abs(self.norm() - 1.0) <= NORM_TOL
+        return self._is_normalized
 
     def norm(self) -> float:
         """2-norm of the amplitudes; inf when a square overflows a float."""
@@ -332,22 +361,21 @@ def encode_basis(bits: str) -> SparsePoly:
 
 def encode_state(amplitudes: np.ndarray | list | dict[str, complex],
                  nqubits: int | None = None) -> HoloState:
-    """Build a HoloState from a flat big-endian amplitude vector or a dict."""
+    """Build a HoloState from a flat big-endian amplitude vector (copied) or a dict."""
     if isinstance(amplitudes, dict):
         if nqubits is None:
             if not amplitudes:
                 raise ValueError("cannot infer qubit count from an empty dict")
             nqubits = len(next(iter(amplitudes)))
         return HoloState(nqubits, amplitudes)
-    v = np.asarray(amplitudes, dtype=complex).ravel()
+    v = np.array(amplitudes, dtype=complex).ravel()  # a copy, which the state keeps
     n = int(round(math.log2(v.size))) if v.size else 0
     if v.size < 2 or 2 ** n != v.size:
         raise ValueError(f"amplitude vector length {v.size} is not a power of two >= 2")
-    # Written as not (|v| <= tol) so that a non-finite entry reaches HoloState,
-    # which rejects it.
-    kept = np.flatnonzero(~(np.abs(v) <= ZERO_TOL))
-    amps = {format(k, f"0{n}b"): c for k, c in zip(kept.tolist(), v[kept].tolist())}
-    return HoloState(n, amps)
+    state = HoloState(n, v)
+    if not np.isfinite(v).all():
+        state.amplitudes  # raises, naming the first non-finite label
+    return state
 
 
 def to_poly(state: HoloState) -> SparsePoly:

@@ -269,12 +269,15 @@ def build_cases() -> dict:
     refused("entanglement seed -1", "entanglement", "--state", one, "--seed", "-1")
     refused("entanglement restarts 0", "entanglement", "--state", one, "--restarts", "0")
     refused("entanglement above the dense limit", "entanglement", "--state", wide)
-    zero, wide_zero = {"0": [1, 0]}, {"0" * 25: [1, 0]}
-    bad_loops = {  # 17 states, the fewest a loop may hold
-        "orthogonal": json.dumps({"n": 1, "states": [zero] * 8 + [{"1": [1, 0]}] + [zero] * 8}),
-        "unnormalized": json.dumps({"n": 1, "states": [zero] * 8 + [{"0": [0.5, 0]}] + [zero] * 8}),
-        "nan": json.dumps({"n": 1, "states": [zero] * 8 + [{"0": [math.nan, 0]}] + [zero] * 8}),
-        "wide": json.dumps({"n": 25, "states": [wide_zero] * 17}),
+    def zero_loop(middle: dict) -> str:  # 17 states, the fewest a loop may hold
+        zero = {"0": [1, 0]}
+        return json.dumps({"n": 1, "states": [zero] * 8 + [middle] + [zero] * 8})
+
+    bad_loops = {
+        "orthogonal": zero_loop({"1": [1, 0]}),
+        "unnormalized": zero_loop({"0": [0.5, 0]}),
+        "nan": zero_loop({"0": [math.nan, 0]}),
+        "wide": json.dumps({"n": 25, "states": [{"0" * 25: [1, 0]}] * 17}),
     }
     for name, body in bad_loops.items():
         refused(f"holonomy loop {name}", "holonomy", "--loop",

@@ -36,7 +36,6 @@ from holoqsim.diffop import (
     DENSE_AMPLITUDES_PER_TERM,
     DENSE_MIN_TERMS,
     GATE_ARITY,
-    DenseState,
     _local_operator,
     cnot_op,
     cz_op,
@@ -531,10 +530,10 @@ def fold_gates(circuit, state):
 def test_compiled_blocks_match_symbolic_oracle_and_diffop_form(case):
     circ, v0 = case
     psi = encode_state(v0)
-    sparse = fold_gates(circ, psi)
-    dense = fold_gates(circ, DenseState(circ.nqubits, v0))
-    assert isinstance(sparse, HoloState) and isinstance(dense, DenseState)
-    compiled = [run_circuit_holo(circ, psi).to_vector(), sparse.to_vector(), dense.amplitudes]
+    sparse = fold_gates(circ, HoloState(circ.nqubits, psi.amplitudes))
+    dense = fold_gates(circ, HoloState(circ.nqubits, v0.copy()))
+    assert sparse.vector is None and dense.vector is not None
+    compiled = [run_circuit_holo(circ, psi).to_vector(), sparse.to_vector(), dense.vector]
     references = [
         run_circuit_symbolic(circ, psi).to_vector(),
         run_circuit_matrix(circ, StateVector(v0)).amplitudes,
@@ -559,21 +558,34 @@ def test_dense_path_stays_off_above_max_dense_qubits(monkeypatch):
     assert max(abs(got.amplitudes[b] - expected.amplitudes[b]) for b in got.amplitudes) < 1e-12
 
 
+def test_run_returns_the_form_it_ends_in():
+    rng = np.random.default_rng(44)
+    circ = random_circuit(rng, 6, 24)
+    dense_start = HoloState(6, encode_state(random_state_vector(rng, 6)).amplitudes)
+    out = run_circuit_holo(circ, dense_start)
+    assert out.vector is not None  # never decoded to a map by the run
+    assert np.max(np.abs(out.to_vector() - run_circuit_matrix(
+        circ, StateVector(dense_start.to_vector())).amplitudes)) < 1e-12
+    permutation = Circuit(6, tuple(GateSpec(k, (1, 2)) for k in ("SWAP", "CNOT", "CZ")))
+    assert run_circuit_holo(permutation, encode_state({"000000": 1.0})).vector is None
+
+
 def test_sixteen_term_wide_circuit_allocates_no_dense_tensor():
     n = 18
     gates = [GateSpec("H", (q,)) for q in (3, 9, 14, 18)]
     gates += [GateSpec(kind, (q, q % n + 1)) for kind in ("CNOT", "SWAP", "CZ")
               for q in range(1, n + 1)]
     circ = Circuit(n, tuple(gates))
-    psi = encode_state({"0" * n: 1.0})
-    tracemalloc.start()
-    try:
-        out = run_circuit_holo(circ, psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(out.amplitudes) == 16
-    assert peak < 16 * 2 ** n // 8  # a dense vector alone would be 16 * 2^N bytes
+    # A one-term start in either form: the vector form goes to the map first.
+    for psi in (encode_state({"0" * n: 1.0}), encode_state(np.eye(1, 2 ** n, dtype=complex))):
+        tracemalloc.start()
+        try:
+            out = run_circuit_holo(circ, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.vector is None and len(out.amplitudes) == 16
+        assert peak < 16 * 2 ** n // 8  # a dense vector alone would be 16 * 2^N bytes
 
 
 def test_cu_blocks_from_cached_components_match_derivation():

@@ -157,14 +157,17 @@ def brute_force_product_distance(psi, coarse=6, refine=True):
 
     thetas = np.linspace(0, PI, coarse)
     phis = np.linspace(0, 2 * PI, coarse, endpoint=False)
-    best, best_params = -1.0, None
-    grids = [thetas, phis] * n
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    for params in flat:
-        v = overlap(params)
-        if v > best:
-            best, best_params = v, params
+    # Row g of `angles` is one (t, p) grid pair and row g of `factors` its factor;
+    # a single contraction scores every choice of one row per qubit.
+    angles = np.stack([m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij")], axis=1)
+    factors = np.stack([np.cos(angles[:, 0] / 2),
+                        np.sin(angles[:, 0] / 2) * np.exp(1j * angles[:, 1])], axis=1)
+    operands = [tensor, list(range(n))]
+    for k in range(n):
+        operands += [factors, [n + k, k]]
+    scores = np.abs(np.einsum(*operands, list(range(n, 2 * n)), optimize=True))
+    rows = np.unravel_index(np.argmax(scores), scores.shape)
+    best, best_params = scores[rows], angles[list(rows)].ravel()
     if refine:
         res = minimize(lambda p: -overlap(p), best_params, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
@@ -415,6 +418,17 @@ def test_optimizer_rejects_nonpositive_restarts(restarts):
 def test_optimizer_rejects_nonpositive_max_sweeps(max_sweeps):
     with pytest.raises(ValueError, match="max_sweeps"):
         maximize_product_overlap(bell_state(), max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_optimizer_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        maximize_product_overlap(bell_state(), seed=seed)
+
+
+def test_optimizer_takes_a_numpy_integer_seed():
+    a, b = (maximize_product_overlap(bell_state(), seed=s) for s in (np.int64(5), 5))
+    assert a.restarts == b.restarts
 
 
 @pytest.mark.parametrize("gain_tol", [math.nan, math.inf, -1e-12])

@@ -18,6 +18,9 @@ from holoqsim import (
     sb_inner_product,
     to_poly,
 )
+from holoqsim.fileio import state_text
+
+from _support import random_state_vector
 
 
 def test_encode_basis_single_bits():
@@ -196,6 +199,42 @@ def test_to_vector_big_endian():
     v = psi.to_vector()
     assert v[int("10", 2)] == 1.0 + 0j
     assert np.count_nonzero(v) == 1
+
+
+def test_map_and_vector_forms_of_one_state_read_the_same():
+    v = random_state_vector(np.random.default_rng(12), 6)
+    v[[3, 9, 17]] = [1e-15, complex(-0.0, -1e-16), 0.0]  # pruned
+    v[[20, 40]] = [complex(0.5, -0.0), complex(-0.0, 0.25)]  # signed zeros kept
+    vector_form = HoloState(6, v.copy())
+    map_form = HoloState(6, {format(k, "06b"): c for k, c in enumerate(v.tolist())})
+    assert vector_form.vector is not None and map_form.vector is None
+    assert vector_form == map_form and map_form == vector_form
+    assert state_text(vector_form) == state_text(map_form)
+    assert vector_form.norm() == map_form.norm()
+    assert vector_form.to_vector().tobytes() == map_form.to_vector().tobytes()
+    assert repr(vector_form) == repr(map_form)
+
+
+def test_vector_form_with_nan_is_refused_naming_its_label():
+    v = np.zeros(4, dtype=complex)
+    v[[0, 2, 3]] = [1.0, complex(math.nan, 0.0), math.inf]
+    state = HoloState(2, v)  # wrapping reads no entry
+    for read in (lambda: state.amplitudes, state.to_vector, state.norm,
+                 lambda: state.is_normalized, lambda: state == state, lambda: state_text(state)):
+        with pytest.raises(ValueError, match=r"amplitude of '10' is not finite: \(nan\+0j\)"):
+            read()
+
+
+def test_vector_form_keeps_a_read_only_vector_of_its_register():
+    v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    assert HoloState(2, v).vector is v and not v.flags.writeable
+    for bad in (np.zeros(8, dtype=complex), np.zeros(4)):
+        with pytest.raises(ValueError, match="2-qubit vector must be complex of length 4"):
+            HoloState(2, bad)
+    w = np.array([0.0, 1.0])
+    psi = encode_state(w)  # a copy: the caller's array stays writable and apart
+    w[0] = 1.0
+    assert psi.amplitudes == {"1": 1.0 + 0j} and w.flags.writeable
 
 
 amplitude = st.complex_numbers(max_magnitude=10.0, allow_nan=False,

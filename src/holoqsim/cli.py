@@ -205,7 +205,10 @@ def cmd_holonomy(args) -> int:
         raise CliError("give exactly one of --loop FILE or --theta ANGLE")
     if args.loop is not None:
         loop = load_loop(args.loop)
-        gamma = berry_holonomy(loop)
+        try:
+            gamma = berry_holonomy(loop)
+        except ValueError as exc:
+            raise CliError(f"{args.loop}: {exc}")
         print(f"segments: {loop.segments}")
         print(f"holonomy: {format_float(gamma)}")
         return EXIT_OK

@@ -95,6 +95,8 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_reject_duplicate_keys,
                              parse_int=_parse_int)
+    except FormatError as exc:  # a duplicate key, from the hook inside json.load
+        raise FormatError(f"{path}: {exc}")
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
     except OSError as exc:

@@ -291,14 +291,18 @@ class HoloState:
         if self._amplitudes is None:  # flatnonzero keeps NaN and inf, and allocates per term only
             n, index = self.nqubits, np.flatnonzero(self.vector)
             values = self.vector[index]
-            bad = index[~np.isfinite(values)]
-            if bad.size:
-                c = complex(self.vector[bad[0]])
-                raise ValueError(f"amplitude of {format(bad[0], f'0{n}b')!r} is not finite: {c}")
+            self._refuse_non_finite(index[~np.isfinite(values)])
             kept = np.abs(values) > ZERO_TOL
             self._amplitudes = {format(k, f"0{n}b"): c for k, c in
                                 zip(index[kept].tolist(), values[kept].tolist())}
         return self._amplitudes
+
+    def _refuse_non_finite(self, bad: np.ndarray) -> None:
+        """Raise ValueError naming the first of these vector indices, if any."""
+        if bad.size:
+            c = complex(self.vector[bad[0]])
+            raise ValueError(
+                f"amplitude of {format(bad[0], f'0{self.nqubits}b')!r} is not finite: {c}")
 
     @property
     def is_normalized(self) -> bool:
@@ -321,9 +325,13 @@ class HoloState:
         `entanglement` allocate 2^N amplitudes, and `diff` holds at most four
         such vectors of 16 * 2^N bytes at once (measured with tracemalloc at
         N = 18: in the oracle's H and CU contractions and in compare_states),
-        so 24 qubits peak at 1 GiB and each qubit more doubles it.
+        so 24 qubits peak at 1 GiB and each qubit more doubles it.  A vector
+        form is pruned as its map would be, without building the map.
         """
         require_dense(self.nqubits)
+        if self.vector is not None:
+            self._refuse_non_finite(np.flatnonzero(~np.isfinite(self.vector)))
+            return np.where(np.abs(self.vector) > ZERO_TOL, self.vector, 0j)
         v = np.zeros(2 ** self.nqubits, dtype=complex)
         for bits, amp in self.amplitudes.items():
             v[int(bits, 2)] = amp

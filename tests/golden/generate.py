@@ -69,12 +69,16 @@ def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_circuit(n: int, seed: int, depth: int, kinds: list[str] = ALL_KINDS,
-                   hadamards: list[int] = ()) -> str:
-    """H on each qubit of `hadamards`, then `depth` gates drawn from `kinds`."""
+                   hadamards: list[int] = (), tail: int = 0) -> str:
+    """H on each qubit of `hadamards`, then `depth` gates drawn from `kinds`,
+    then `tail` gates drawn from X, Y and SWAP."""
     rng = np.random.default_rng(seed)
     gates = [{"kind": "H", "qubits": [q]} for q in hadamards]
     usable = [k for k in kinds if n >= 2 or k in "XYZH"]
-    for _ in range(depth):
+    relabels = [k for k in ("X", "Y", "SWAP") if n >= 2 or k != "SWAP"]
+    for step in range(depth + tail):
+        if step == depth:
+            usable = relabels
         kind = usable[int(rng.integers(len(usable)))]
         if kind in ("X", "Y", "Z", "H"):
             gates.append({"kind": kind, "qubits": [int(rng.integers(1, n + 1))]})
@@ -209,6 +213,30 @@ def build_cases() -> dict:
                            (out18, c18)]:
         simulate(state, circuit)
     diff("out/s8_full-c8_all.json", "in/c8_all.json")
+
+    # The oracle against circuits that end in X/Y/SWAP runs after their last
+    # H, that only relabel (X/SWAP), and that apply CU after relabelings.
+    relabel = ["X", "SWAP"]
+    for state, circuit in [
+            ("in/s3_full.json", add("in/c3_tail.json", "circuit", n=3, seed=35, depth=16,
+                                    tail=8)),
+            ("in/s8_full.json", add("in/c8_tail.json", "circuit", n=8, seed=86, depth=24,
+                                    tail=12)),
+            ("in/s12_full.json", add("in/c12_tail.json", "circuit", n=12, seed=126,
+                                     depth=24, tail=12)),
+            ("in/s1_neg0.json", add("in/c1_relabel.json", "circuit", n=1, seed=12, depth=5,
+                                    kinds=["X"])),
+            ("in/s2_neg0.json", add("in/c2_relabel.json", "circuit", n=2, seed=22, depth=9,
+                                    kinds=relabel)),
+            ("in/s8_full.json", add("in/c8_relabel.json", "circuit", n=8, seed=87, depth=24,
+                                    kinds=relabel)),
+            ("in/s8_9terms.json", "in/c8_relabel.json"),
+            ("in/s12_full.json", add("in/c12_relabel.json", "circuit", n=12, seed=127,
+                                     depth=24, kinds=relabel)),
+            ("in/s12_full.json", add("in/c12_cu.json", "circuit", n=12, seed=128, depth=32,
+                                     kinds=["X", "Y", "SWAP", "CU"])),
+            ("in/s12_full.json", "in/c12_perm.json")]:
+        diff(state, circuit)
 
     for state in (*states[1], *states[2], *states[3], "in/s8_9terms.json",
                   "out/s2_bell-c2_all.json", "out/s3_full-c3_all.json"):

@@ -573,8 +573,8 @@ def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
     states[1] = {"0": [0.5, 0.0]}
     unnormalized.write_text(json.dumps({"n": 1, "states": states}))
     cases = [
-        (("--loop", str(loop)), "error: consecutive overlap at segment 0 has magnitude 0; "
-                                "loop too coarse for a well-defined holonomy\n"),
+        (("--loop", str(loop)), f"error: {loop}: consecutive overlap at segment 0 has "
+                                "magnitude 0; loop too coarse for a well-defined holonomy\n"),
         (("--theta", "1.0", "--samples", "10"), "error: need at least 16 segments\n"),
         (("--theta", "nan"), "error: amplitude of '0' is not finite: (nan+0j)\n"),
         (("--loop", str(wide)), f"error: {wide}: {n} qubits exceed the "

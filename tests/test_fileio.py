@@ -66,8 +66,9 @@ def test_state_file_shape(tmp_path):
 def test_state_rejects_duplicate_keys(tmp_path):
     path = write(tmp_path, "dup.json",
                  '{"n": 1, "amplitudes": {"0": [1.0, 0.0], "0": [0.0, 0.0]}}')
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(FormatError) as refusal:
         load_state(path)
+    assert str(refusal.value) == f"{path}: duplicate key '0' in JSON object"
 
 
 def test_state_rejects_bad_bitstring(tmp_path):

@@ -225,6 +225,24 @@ def test_vector_form_with_nan_is_refused_naming_its_label():
             read()
 
 
+def test_to_vector_of_a_vector_form_prunes_it_without_building_the_map():
+    v = random_state_vector(np.random.default_rng(13), 5)
+    v[[1, 2, 3, 4]] = [1e-15, complex(-0.0, -1e-16), -0.0, complex(-1e-14, 0.0)]  # pruned
+    v[[6, 7]] = [complex(0.5, -0.0), complex(-0.0, -0.25)]  # signed zeros kept
+    entries = {format(k, "05b"): c for k, c in enumerate(v.tolist())}
+    state = HoloState(5, v.copy())
+    out = state.to_vector()
+    assert out.tobytes() == HoloState(5, entries).to_vector().tobytes()
+    assert state._amplitudes is None and out.flags.writeable
+    v[[9, 12]] = [complex(0.0, math.nan), math.inf]
+    state = HoloState(5, v.copy())
+    with pytest.raises(ValueError) as by_map:
+        HoloState(5, {format(k, "05b"): c for k, c in enumerate(v.tolist())})
+    with pytest.raises(ValueError, match=r"amplitude of '01001' is not finite") as by_vector:
+        state.to_vector()
+    assert str(by_vector.value) == str(by_map.value) and state._amplitudes is None
+
+
 def test_vector_form_keeps_a_read_only_vector_of_its_register():
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     assert HoloState(2, v).vector is v and not v.flags.writeable

@@ -1,6 +1,7 @@
 """The index-arithmetic state-vector engine used as the cross-check route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from holoqsim import (
     run_circuit_matrix,
 )
 
-from _support import random_circuit, random_state_vector
+from _support import random_circuit, random_gate, random_state_vector
 
 SQ2 = math.sqrt(2.0)
 
@@ -214,3 +215,81 @@ def test_every_kind_and_placement_matches_full_matrix(n):
     out = run_circuit_matrix(Circuit(n, tuple(gates)), StateVector(v)).amplitudes
     assert np.max(np.abs(out - expected)) < 1e-12
     assert v.tobytes() == v_before.tobytes()
+
+
+# -- X and SWAP relabel the working tensor; H and the end resolve it ---
+
+_RELABEL = ("X", "Y", "SWAP")
+_PERMUTATION_AND_PHASE = ("X", "Y", "Z", "SWAP", "CNOT", "CZ")
+
+
+def _gate_matrix(gate: GateSpec, n: int) -> np.ndarray:
+    if gate.kind == "CU":
+        local = np.eye(4, dtype=complex)
+        local[2:, 2:] = gate.u
+    else:
+        local = _LOCAL[gate.kind]
+    return _full_matrix(local, gate.qubits, n)
+
+
+def _relabeled_circuit(rng: np.random.Generator, n: int, pivots: tuple[str, ...]) -> Circuit:
+    """Runs of relabelings (and the other permutation and phase kinds) around
+    each pivot gate, ending in a run of relabelings alone."""
+    gates = []
+    for pivot in pivots:
+        gates += [random_gate(rng, n, _PERMUTATION_AND_PHASE) for _ in range(6)]
+        gates += [random_gate(rng, n, _RELABEL) for _ in range(4)]
+        gates.append(random_gate(rng, n, (pivot,)))
+    gates += [random_gate(rng, n, _RELABEL) for _ in range(8)]
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pivots", [(), ("H",), ("CU", "H", "CU"), ("H", "H", "CU")])
+def test_relabel_runs_around_h_and_cu_match_full_matrix(n, pivots):
+    rng = np.random.default_rng(n)
+    if n == 1:
+        pivots = tuple(p for p in pivots if p != "CU")
+    for _ in range(5):
+        circuit = _relabeled_circuit(rng, n, pivots)
+        v = random_state_vector(rng, n)
+        expected = v.copy()
+        for gate in circuit.gates:
+            expected = _gate_matrix(gate, n) @ expected
+        out = run_circuit_matrix(circuit, StateVector(v)).amplitudes
+        if pivots:
+            assert np.max(np.abs(out - expected)) < 1e-12
+        else:  # permutations and +-1, +-i phases are exact
+            assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("gates", [
+    (GateSpec("X", (1,)),),
+    (GateSpec("SWAP", (1, 3)), GateSpec("X", (2,)), GateSpec("Y", (3,))),
+    (GateSpec("X", (2,)), GateSpec("H", (1,)), GateSpec("SWAP", (2, 3)), GateSpec("X", (1,))),
+    (GateSpec("SWAP", (1, 2)), GateSpec("CU", (2, 3), np.eye(2, dtype=complex)[::-1])),
+])
+def test_result_is_c_contiguous_and_leaves_the_input_alone(gates):
+    rng = np.random.default_rng(5)
+    v = random_state_vector(rng, 3)
+    before = v.tobytes()
+    out = run_circuit_matrix(Circuit(3, gates), StateVector(v)).amplitudes
+    assert out.flags.c_contiguous
+    assert not np.shares_memory(out, v)
+    assert v.tobytes() == before
+
+
+def test_permutation_and_phase_circuit_makes_no_full_copy():
+    # One working copy plus the exchange temporaries: ~1.76 buffers.  A final
+    # copy of a relabeled view, instead of undoing it in place, reads >= 2.
+    n = 16
+    rng = np.random.default_rng(16)
+    circuit = _relabeled_circuit(rng, n, ("Z", "CNOT", "CZ"))
+    state = StateVector(random_state_vector(rng, n))
+    tracemalloc.start()
+    try:
+        run_circuit_matrix(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * 16 * 2 ** n

@@ -179,20 +179,26 @@ def _full_matrix(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarr
     return big[np.ix_(perm, perm)]
 
 
+def _gate_matrix(gate: GateSpec, n: int) -> np.ndarray:
+    if gate.kind == "CU":
+        local = np.eye(4, dtype=complex)
+        local[2:, 2:] = gate.u
+    else:
+        local = _LOCAL[gate.kind]
+    return _full_matrix(local, gate.qubits, n)
+
+
 def _every_placement(n: int, rng: np.random.Generator):
     for kind in ("X", "Y", "Z", "H"):
         for q in range(1, n + 1):
-            yield GateSpec(kind, (q,)), _LOCAL[kind]
+            yield GateSpec(kind, (q,))
     for c in range(1, n + 1):
         for t in range(1, n + 1):
             if c == t:
                 continue
             for kind in ("SWAP", "CNOT", "CZ"):
-                yield GateSpec(kind, (c, t)), _LOCAL[kind]
-            u = haar_random_unitary(rng)
-            block = np.eye(4, dtype=complex)
-            block[2:, 2:] = u
-            yield GateSpec("CU", (c, t), u), block
+                yield GateSpec(kind, (c, t))
+            yield GateSpec("CU", (c, t), haar_random_unitary(rng))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -201,8 +207,8 @@ def test_every_kind_and_placement_matches_full_matrix(n):
     v = random_state_vector(rng, n)
     v_before = v.copy()
     gates, expected = [], v.copy()
-    for gate, local in _every_placement(n, rng):
-        full = _full_matrix(local, gate.qubits, n)
+    for gate in _every_placement(n, rng):
+        full = _gate_matrix(gate, n)
         out = apply_gate_matrix(gate, StateVector(v)).amplitudes
         if gate.kind in ("H", "CU"):
             assert np.max(np.abs(out - full @ v)) < 1e-14, gate
@@ -221,15 +227,6 @@ def test_every_kind_and_placement_matches_full_matrix(n):
 
 _RELABEL = ("X", "Y", "SWAP")
 _PERMUTATION_AND_PHASE = ("X", "Y", "Z", "SWAP", "CNOT", "CZ")
-
-
-def _gate_matrix(gate: GateSpec, n: int) -> np.ndarray:
-    if gate.kind == "CU":
-        local = np.eye(4, dtype=complex)
-        local[2:, 2:] = gate.u
-    else:
-        local = _LOCAL[gate.kind]
-    return _full_matrix(local, gate.qubits, n)
 
 
 def _relabeled_circuit(rng: np.random.Generator, n: int, pivots: tuple[str, ...]) -> Circuit:

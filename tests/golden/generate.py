@@ -1,13 +1,14 @@
-"""Golden output corpus for the commands whose output goes through HoloState.
+"""Golden output corpus for every `holoqsim` command.
 
     python tests/golden/generate.py           # rewrite cases.json and digests.json
     python tests/golden/generate.py --check   # run the cases, list moved digests
 
 `cases.json` holds the input files and the cases.  An input file is made
 from a seed by one of the MAKERS below, or given as literal text.  A case
-is one `holoqsim` command line (`simulate`, `diff`, `entanglement` or
-`holonomy --loop`) that names its files by relative paths, so that stdout
-and the output files do not depend on where the corpus runs.  All cases
+is one `holoqsim` command line (`simulate`, `diff`, `entanglement`,
+`holonomy`, or `portrait` and `classical-evolve` on short time grids) that
+names its files by relative paths, so that stdout and the output files do
+not depend on where the corpus runs.  All cases
 run in order in one directory that holds the inputs, so a case may read a
 file that an earlier case wrote.
 
@@ -201,6 +202,12 @@ def build_cases() -> dict:
             diff(state, circuits[n][0])
     out18 = simulate(s18, c18)
     diff(s18, c18)
+    # A two-term start at N = 18 under circuits with 9 and 10 H/CU gates.
+    s18_two = add("in/s18_2terms.json", "state", n=18, seed=187, terms=2)
+    for name, hadamards in [("in/c18_9branch.json", [4, 11, 17]),
+                            ("in/c18_10branch.json", [4, 11, 17, 8])]:
+        diff(s18_two, add(name, "circuit", n=18, seed=186, depth=48, hadamards=hadamards,
+                          kinds=["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]))
     diff("in/s8_full.json", "in/c8_all.json", "--tol", "0")
 
     # Outputs fed back in: dense and sparse ends, and signed zeros.
@@ -251,6 +258,29 @@ def build_cases() -> dict:
     for loop in loops:
         cases.append({"name": f"holonomy {stem(loop)}",
                       "argv": ["holonomy", "--loop", loop], "outputs": []})
+
+    # The flow commands on short time grids.
+    for theta, samples in [("1", "64"), ("2.5", "16"), ("0.3", None)]:
+        argv = ["holonomy", "--theta", theta] + (["--samples", samples] if samples else [])
+        cases.append({"name": " ".join(argv), "argv": argv, "outputs": []})
+    for generator, offsets, deltas in [("X", None, None), ("Y", "-0.6,0.6", "0,1.5"),
+                                       ("Z", "0.3", "-1,2")]:
+        out_dir, prefix = f"out/portrait_{generator.lower()}", f"portrait_{generator.lower()}"
+        grid = [f"--offsets={offsets}", f"--deltas={deltas}"] if offsets else []
+        count = len(offsets.split(",")) * len(deltas.split(",")) if offsets else 20
+        cases.append({"name": f"portrait {generator}",
+                      "argv": ["portrait", "--generator", generator, "--out-dir", out_dir,
+                               "--t-final", "0.3", "--dt", "0.1", *grid],
+                      "outputs": [f"{out_dir}/{prefix}_{k:02d}.csv" for k in range(count)]
+                      + [f"{out_dir}/{prefix}_index.json"]})
+    for name, extra in [("y", ["--generator", "Y", "--t-final", "1", "--dt", "0.1"]),
+                        ("z", ["--generator", "Z", "--t-final", "0.25", "--dt", "0.05",
+                               "--z0", "0.6,0,0,0.8"]),
+                        ("x2", ["--generator", "X", "--qubit", "2", "--t-final", "0.5",
+                                "--dt", "0.1", "--z0", "1,0,0,0,0.6,0,0,-0.8"])]:
+        out = f"out/evolve_{name}.csv"
+        cases.append({"name": f"classical-evolve {name}",
+                      "argv": ["classical-evolve", *extra, "--out", out], "outputs": [out]})
 
     # Refused inputs: stderr and exit 2.
     one = "in/s1_zero.json"

@@ -44,8 +44,15 @@ from .geometry import (
     maximize_product_overlap,
     overlap_distance,
 )
-from .holostate import norm_rows
-from .oracle import StateVector, compare_states, run_circuit_matrix
+from .holostate import MAX_DENSE_QUBITS, HoloState, fits_dense, norm_rows
+from .oracle import (
+    StateVector,
+    compare_states,
+    run_circuit_matrix,
+    run_circuit_sparse,
+    sparse_cap,
+    sparse_term_bound,
+)
 from .semiclassical import pauli_hamiltonian, propagator
 from .torus import GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow
 
@@ -111,12 +118,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _indexed(state: HoloState) -> dict[int, complex]:
+    """The state's amplitudes keyed by index, the bit string read as binary."""
+    return {int(bits, 2): amp for bits, amp in state.amplitudes.items()}
+
+
 def cmd_diff(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
+    n = circuit.nqubits
+    bound, cap = sparse_term_bound(circuit, len(state.amplitudes)), sparse_cap(n)
+    if bound > cap and not fits_dense(n):
+        raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
+                       f"amplitude vectors, and the sparse oracle's term bound {bound} "
+                       f"passes its cap of {cap} terms")
     holo_out = run_circuit_holo(circuit, state)
-    matrix_out = run_circuit_matrix(circuit, StateVector(state.to_vector()))
-    deviation = compare_states(matrix_out, holo_out.to_vector())
+    if bound <= cap:
+        deviation = compare_states(run_circuit_sparse(circuit, _indexed(state)),
+                                   _indexed(holo_out))
+    else:
+        matrix_out = run_circuit_matrix(circuit, StateVector(state.to_vector()))
+        deviation = compare_states(matrix_out, holo_out.to_vector())
     passed = deviation <= args.tol
     lines = [
         f"circuit: {args.circuit}",

@@ -1,17 +1,28 @@
-"""Plain state-vector reference engine.
+"""Plain state-vector reference engine, in a dense and a sparse form.
 
-Completely independent route used to cross-check the polynomial engine:
-amplitudes live in a flat complex vector of length 2^N, reshaped to
-[2]*N so qubit j (1-based, big-endian) is axis j-1, and gates act by
-index arithmetic on those axes.  A circuit copies its input once into a
-working buffer, and the gates see a view of it that may be re-strided.  X
-and SWAP are relabelings: X flips its qubit's axis and SWAP transposes two
-axes, views that move no data.  Y is X's flip and a scaling of each half.
-Z, CZ, CNOT and CU scale, exchange or contract slices of the view in
-place.  H contracts with its matrix and writes the result back in the
-buffer's own C order, which resolves every relabeling made so far.  What
-is left after the last gate is undone in place, so the result owns the
-buffer and no second 2^N copy is made.  Nothing here touches polynomials.
+Completely independent route used to cross-check the polynomial engine.
+Nothing here touches polynomials, gate blocks or bit-string labels.
+
+Dense form: amplitudes live in a flat complex vector of length 2^N,
+reshaped to [2]*N so qubit j (1-based, big-endian) is axis j-1, and gates
+act by index arithmetic on those axes.  A circuit copies its input once
+into a working buffer, and the gates see a view of it that may be
+re-strided.  X and SWAP are relabelings: X flips its qubit's axis and SWAP
+transposes two axes, views that move no data.  Y is X's flip and a scaling
+of each half.  Z, CZ, CNOT and CU scale, exchange or contract slices of
+the view in place.  H contracts with its matrix and writes the result back
+in the buffer's own C order, which resolves every relabeling made so far.
+What is left after the last gate is undone in place, so the result owns
+the buffer and no second 2^N copy is made.
+
+Sparse form: a map from index (the bit string read big-endian, as in
+StateVector) to amplitude, where qubit j is bit N-j of the index.  X, SWAP
+and CNOT move keys, Z and CZ flip signs, Y moves keys and scales them, and
+H and CU contract each index pair that differs in the target bit with
+their matrix.  Only exact zeros are dropped, and a gate costs O(terms)
+whatever N is.  Only H and CU split a term in two, so a circuit leaves at
+most `sparse_term_bound` terms; `holoqsim diff` runs this form when that
+bound is at most `sparse_cap(N)`, and the dense form otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import holostate
 from .diffop import Circuit, GateSpec
+
+# diff runs the sparse form when its term bound is at most 2^min(N, MAX_DENSE_QUBITS)
+# / DENSE_AMPLITUDES_PER_SPARSE_TERM.  Set from the measured crossover, see sparse_cap.
+DENSE_AMPLITUDES_PER_SPARSE_TERM = 256
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -154,14 +170,99 @@ def run_circuit_matrix(circuit: Circuit, state: StateVector) -> StateVector:
     return StateVector(buf.reshape(-1))
 
 
+def sparse_term_bound(circuit: Circuit, terms: int) -> int:
+    """Most terms the circuit can leave from `terms`: min(2^N, terms * 2^(H and CU gates))."""
+    n = circuit.nqubits
+    branching = sum(gate.kind in ("H", "CU") for gate in circuit.gates)
+    return min(2 ** n, terms << min(branching, n))
+
+
+def sparse_cap(nqubits: int) -> int:
+    """Largest term bound for which diff runs the sparse form: 2^min(N, 24) / 256.
+
+    Measured at N = 12..20 (depth-200 circuits on random sparse starts, both
+    forms with their input and compare, unscaled, one BLAS thread, shared
+    2-vCPU x86-64 host), the two forms cost the same at a bound near 2^N / 20
+    on circuits of X, Y, Z, SWAP, CNOT, CZ and 4 H, and near 2^N / 400 on
+    X/SWAP-only circuits, which the dense form runs as free relabelings.  At
+    2^N / 256 the sparse form takes 0.06-0.17 and 0.8-1.7 of the dense time
+    on the two.  Below the cap the engine's result is a map, never a vector.
+    """
+    return 2 ** min(nqubits, holostate.MAX_DENSE_QUBITS) // DENSE_AMPLITUDES_PER_SPARSE_TERM
+
+
+def _mix_pairs(amps: dict[int, complex], target: int, control: int,
+               m: np.ndarray) -> dict[int, complex]:
+    """Contract m with each index pair that differs in the target bit and has the control bits.
+
+    The pairs are gathered as the columns of a 2 x P array, padded with zero
+    columns to a multiple of four: BLAS then rounds every column as it rounds
+    the dense form's 2^(N-1) columns, where a remainder of 1-3 would not, so
+    both forms give bitwise the same amplitudes.
+    """
+    out: dict[int, complex] = {}
+    pairs: dict[int, list[complex]] = {}
+    for k, a in amps.items():
+        if k & control == control:
+            pairs.setdefault(k & ~target, [0j, 0j])[1 if k & target else 0] = a
+        else:
+            out[k] = a
+    if pairs:
+        columns = np.zeros((2, -(-len(pairs) // 4) * 4), dtype=complex)
+        columns[:, :len(pairs)] = np.array(list(pairs.values())).T
+        low, high = np.tensordot(m, columns, axes=(1, 0)).tolist()
+        for k, b0, b1 in zip(pairs, low, high):
+            if b0:
+                out[k] = b0
+            if b1:
+                out[k | target] = b1
+    return out
+
+
+def _apply_sparse(gate: GateSpec, amps: dict[int, complex], n: int) -> dict[int, complex]:
+    """Apply one gate to an index -> amplitude map by bit operations on the indices."""
+    kind = gate.kind
+    m = [1 << (n - q) for q in gate.qubits]
+    mask = m[0] | m[-1]  # all of the gate's qubits
+    if kind == "X":
+        return {k ^ mask: a for k, a in amps.items()}
+    if kind == "Y":
+        y01, y10 = complex(_ONE_QUBIT["Y"][0, 1]), complex(_ONE_QUBIT["Y"][1, 0])
+        return {k ^ mask: a * (y01 if k & mask else y10) for k, a in amps.items()}
+    if kind == "SWAP":
+        return {k ^ mask if k & mask in m else k: a for k, a in amps.items()}
+    if kind == "CNOT":
+        return {k ^ m[1] if k & m[0] else k: a for k, a in amps.items()}
+    if kind in ("Z", "CZ"):
+        z = complex(_ONE_QUBIT["Z"][1, 1])
+        return {k: a * z if k & mask == mask else a for k, a in amps.items()}
+    if kind == "H":
+        return _mix_pairs(amps, mask, 0, _ONE_QUBIT["H"])
+    if kind == "CU":
+        return _mix_pairs(amps, m[1], m[0], gate.u)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def run_circuit_sparse(circuit: Circuit, amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """Run the circuit on an index -> amplitude map; the input is left unchanged."""
+    amps = dict(amplitudes)
+    for gate in circuit.gates:
+        amps = _apply_sparse(gate, amps, circuit.nqubits)
+    return amps
+
+
 def align_global_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rotate b by the unit phase that best matches it to a.
 
     The phase is read off the component pair with the largest |a_k * b_k|;
     when every such product is negligible (orthogonal supports) b is
     returned unchanged, which leaves an order-one deviation to report.
+    The product is one np.multiply call.  Written `a * b.conj()`, numpy
+    reuses the temporary of a vector of 256 KiB or more (N >= 14) and
+    multiplies in the other operand order, which rounds differently under
+    FMA; the sparse compare's short gathers would then not match the bits.
     """
-    prod = a * b.conj()
+    prod = np.multiply(a, b.conj())
     k = int(np.argmax(np.abs(prod)))
     if abs(prod[k]) < 1e-300:
         return b
@@ -169,8 +270,21 @@ def align_global_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u * b
 
 
-def compare_states(a: np.ndarray | StateVector, b: np.ndarray | StateVector) -> float:
-    """Max absolute amplitude deviation after global-phase alignment."""
+def compare_states(a: np.ndarray | StateVector | dict[int, complex],
+                   b: np.ndarray | StateVector | dict[int, complex]) -> float:
+    """Max absolute amplitude deviation after global-phase alignment.
+
+    Two sparse maps are gathered over the union of their indices in
+    ascending order.  Every other index is 0 - 0, so the result is bitwise
+    the dense compare's on the same amplitudes.
+    """
+    if isinstance(a, dict) or isinstance(b, dict):
+        if not (isinstance(a, dict) and isinstance(b, dict)):
+            raise ValueError("a sparse map is compared only with a sparse map")
+        keys = sorted(a.keys() | b.keys())
+        if not keys:
+            return 0.0
+        a, b = (np.array([side.get(k, 0j) for k in keys], dtype=complex) for side in (a, b))
     va = a.amplitudes if isinstance(a, StateVector) else np.asarray(a, dtype=complex).ravel()
     vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b, dtype=complex).ravel()
     if va.size != vb.size:

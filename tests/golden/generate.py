@@ -221,6 +221,27 @@ def build_cases() -> dict:
         simulate(state, circuit)
     diff("out/s8_full-c8_all.json", "in/c8_all.json")
 
+    # Two terms that H on qubit 18 mixes as one pair, then CU and the sparse
+    # kinds: the sparse oracle's pair contractions round as the dense one's.
+    diff(text("in/s18_pair.json", json.dumps(
+             {"n": 18, "amplitudes": {"0" * 18: [0.48, 0.64], "0" * 17 + "1": [-0.36, 0.48]}})),
+         add("in/c18_pair.json", "circuit", n=18, seed=188, depth=40, hadamards=[18],
+             kinds=["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]))
+
+    # A dense run whose 2^N vectors pass numpy's 256 KiB temporary-reuse size.
+    diff(add("in/s14_full.json", "state", n=14, seed=141),
+         add("in/c14_all.json", "circuit", n=14, seed=142, depth=24))
+
+    # Sparse oracle runs above the dense limit, from one and from two terms.
+    sparse_kinds = ["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]
+    diff(add("in/s25_zero_sparse.json", "basis", bits="0" * 25),
+         add("in/c25_sparse.json", "circuit", n=25, seed=251, depth=60,
+             hadamards=[1, 13, 25], kinds=sparse_kinds))
+    diff(text("in/s48_2terms.json", json.dumps(
+             {"n": 48, "amplitudes": {"0" * 48: [0.6, 0.0], "1" * 24 + "0" * 24: [0.0, -0.8]}})),
+         add("in/c48.json", "circuit", n=48, seed=481, depth=80,
+             hadamards=[5, 20, 33, 48], kinds=sparse_kinds))
+
     # The oracle against circuits that end in X/Y/SWAP runs after their last
     # H, that only relabel (X/SWAP), and that apply CU after relabelings.
     relabel = ["X", "SWAP"]
@@ -322,7 +343,12 @@ def build_cases() -> dict:
     refused("simulate no --out", "simulate", "--circuit", c1, "--state", one)
     wide = text("in/s25_zero.json", basis_state("0" * 25))
     wide_circuit = text("in/c25.json", '{"n": 25, "gates": [{"kind": "X", "qubits": [1]}]}')
+    # Recorded as refused before diff had its sparse oracle; it passes now.
     refused("diff above the dense limit", "diff", "--circuit", wide_circuit, "--state", wide)
+    refused("diff above the dense limit, term bound past the sparse cap", "diff",
+            "--circuit", text("in/c25_17h.json", json.dumps(
+                {"n": 25, "gates": [{"kind": "H", "qubits": [q]} for q in range(1, 18)]})),
+            "--state", wide)
     refused("diff tol nan", "diff", "--circuit", c1, "--state", one, "--tol", "nan")
     refused("entanglement seed -1", "entanglement", "--state", one, "--seed", "-1")
     refused("entanglement restarts 0", "entanglement", "--state", one, "--restarts", "0")
@@ -340,6 +366,8 @@ def build_cases() -> dict:
     for name, body in bad_loops.items():
         refused(f"holonomy loop {name}", "holonomy", "--loop",
                 text(f"in/bad_loop_{name}.json", body))
+    refused("holonomy theta samples past the limit", "holonomy", "--theta", "1",
+            "--samples", "1000001")
     refused("holonomy no source", "holonomy")
     refused("holonomy two sources", "holonomy", "--loop", loops[0], "--theta", "1")
     return {"inputs": inputs, "cases": cases}

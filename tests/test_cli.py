@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,14 +206,28 @@ def test_diff_bad_tolerance_exits_2(bell_files, capsys, tol):
 
 
 def test_diff_register_above_dense_limit_exits_2(wide_state, tmp_path, capsys):
+    """Above the dense limit, a run whose term bound passes the sparse cap is refused."""
     n, state = wide_state
     circ = tmp_path / "wide.json"
-    circ.write_text(f'{{"n": {n}, "gates": [{{"kind": "X", "qubits": [{n}]}}]}}')
+    gates = [{"kind": "H", "qubits": [q]} for q in range(1, 18)]  # bound 2^17
+    circ.write_text(json.dumps({"n": n, "gates": gates}))
     code, stdout, stderr = run_cli(capsys, "diff", "--circuit", str(circ),
                                    "--state", state)
     assert code == 2
     assert stdout == ""
     assert f"{MAX_DENSE_QUBITS}-qubit limit" in stderr
+    assert f"term bound {2 ** 17} passes its cap of {2 ** MAX_DENSE_QUBITS // 256} terms" in stderr
+
+
+def test_diff_above_dense_limit_runs_the_sparse_oracle(wide_state, tmp_path, capsys):
+    n, state = wide_state
+    circ = tmp_path / "wide.json"
+    gates = [{"kind": "H", "qubits": [q]} for q in range(1, 5)]
+    circ.write_text(json.dumps({"n": n, "gates": gates + [{"kind": "X", "qubits": [n]}]}))
+    code, stdout, stderr = run_cli(capsys, "diff", "--circuit", str(circ),
+                                   "--state", state)
+    assert (code, stderr) == (0, "")
+    assert f"nqubits: {n}\n" in stdout and "result: PASS" in stdout
 
 
 def test_diff_malformed_state_exits_2(bell_files, tmp_path, capsys):
@@ -585,6 +601,30 @@ def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
     ]
     for args, message in cases:
         assert run_cli(capsys, "holonomy", *args) == (2, "", message)
+
+
+def test_holonomy_theta_refuses_too_many_segments_before_building_them(monkeypatch, capsys):
+    def exp(_):
+        raise AssertionError("bloch_circle_loop started building its rows")
+
+    monkeypatch.setattr(holoqsim.geometry, "cmath", SimpleNamespace(exp=exp))
+    samples = holoqsim.geometry.MAX_LOOP_SEGMENTS + 1
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "holonomy", "--theta", "1", "--samples", str(samples))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f"error: {samples} segments exceed "
+                             f"MAX_LOOP_SEGMENTS = {samples - 1}\n")
+    assert peak < 2 ** 20
+
+
+def test_holonomy_theta_takes_up_to_max_loop_segments(monkeypatch, capsys):
+    monkeypatch.setattr(holoqsim.geometry, "MAX_LOOP_SEGMENTS", 20)
+    code, stdout, _ = run_cli(capsys, "holonomy", "--theta", "1", "--samples", "20")
+    assert code == 0 and "segments: 20\n" in stdout
+    assert run_cli(capsys, "holonomy", "--theta", "1", "--samples", "21")[0] == 2
 
 
 def test_holonomy_requires_exactly_one_source(capsys):

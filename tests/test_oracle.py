@@ -1,22 +1,28 @@
 """The index-arithmetic state-vector engine used as the cross-check route."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoqsim import (
     Circuit,
     GateSpec,
+    HoloState,
     StateVector,
     apply_gate_matrix,
     compare_states,
     haar_random_unitary,
+    run_circuit_holo,
     run_circuit_matrix,
 )
+from holoqsim.cli import main
+from holoqsim.oracle import run_circuit_sparse, sparse_cap, sparse_term_bound
 
-from _support import random_circuit, random_gate, random_state_vector
+from _support import ALL_KINDS, random_circuit, random_gate, random_state_vector
 
 SQ2 = math.sqrt(2.0)
 
@@ -290,3 +296,111 @@ def test_permutation_and_phase_circuit_makes_no_full_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.8 * 16 * 2 ** n
+
+
+# -- the sparse form: an index -> amplitude map, changed by bit operations --
+
+
+def _sparse_start(rng: np.random.Generator, n: int, terms: int) -> dict[int, complex]:
+    """`terms` random amplitudes at random indices of an n-qubit register, normalized."""
+    index = rng.choice(2 ** n, terms, replace=False) if n < 60 else \
+        {int(rng.integers(2 ** 30)) << (n - 30) | int(rng.integers(2 ** 30)) for _ in range(terms)}
+    v = rng.standard_normal(len(index)) + 1j * rng.standard_normal(len(index))
+    return dict(zip((int(k) for k in index), (v / np.linalg.norm(v)).tolist()))
+
+
+def _dense(amps: dict[int, complex], n: int) -> np.ndarray:
+    v = np.zeros(2 ** n, dtype=complex)
+    v[list(amps)] = list(amps.values())
+    return v
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 30),
+       exact=st.booleans(), fill=st.floats(0.0, 1.0))
+def test_sparse_form_matches_the_dense_form(n, seed, depth, exact, fill):
+    rng = np.random.default_rng(seed)
+    kinds = _PERMUTATION_AND_PHASE if exact else ALL_KINDS
+    circuit = random_circuit(rng, n, depth, kinds)
+    start = _sparse_start(rng, n, max(1, round(fill * 2 ** n)))
+    before = dict(start)
+    out = run_circuit_sparse(circuit, start)
+    dense = run_circuit_matrix(circuit, StateVector(_dense(start, n))).amplitudes
+    assert start == before
+    assert 0j not in out.values() and all(0 <= k < 2 ** n for k in out)
+    if all(g.kind in _PERMUTATION_AND_PHASE for g in circuit.gates):
+        assert np.array_equal(_dense(out, n), dense)
+    else:
+        assert np.max(np.abs(_dense(out, n) - dense)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(25, 64), seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 40),
+       hadamards=st.integers(0, 4), terms=st.integers(1, 3))
+def test_sparse_form_matches_the_holo_engine_above_the_dense_limit(n, seed, depth, hadamards,
+                                                                   terms):
+    rng = np.random.default_rng(seed)
+    gates = list(random_circuit(rng, n, depth, _PERMUTATION_AND_PHASE + ("CU",)).gates)
+    for _ in range(hadamards):
+        gates.insert(int(rng.integers(len(gates) + 1)), random_gate(rng, n, ("H",)))
+    circuit = Circuit(n, tuple(gates))
+    start = _sparse_start(rng, n, terms)
+    out = run_circuit_sparse(circuit, start)
+    holo = run_circuit_holo(circuit, HoloState(n, {format(k, f"0{n}b"): a
+                                                   for k, a in start.items()}))
+    holo_out = {int(bits, 2): amp for bits, amp in holo.amplitudes.items()}
+    assert max(abs(out.get(k, 0j) - holo_out.get(k, 0j)) for k in out.keys() | holo_out.keys()) \
+        <= 1e-12
+    assert compare_states(out, holo_out) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 13, 14, 16])
+def test_sparse_compare_is_bitwise_the_dense_compare(n):
+    # From N = 14 a 2^N vector passes numpy's 256 KiB temporary-reuse size,
+    # which must not change the product the phase is read from.
+    rng = np.random.default_rng(n)
+    for terms in (1, 3, 5, 17, 64):
+        a = _sparse_start(rng, n, terms)
+        b = {k: c * np.exp(0.3j) + 1e-16 * complex(*rng.standard_normal(2))
+             for k, c in a.items() if rng.random() < 0.9}
+        b.update(_sparse_start(rng, n, 2))
+        assert compare_states(a, b) == compare_states(_dense(a, n), _dense(b, n))
+
+
+def test_sparse_compare_takes_two_maps():
+    assert compare_states({}, {}) == 0.0
+    assert compare_states({3: 1j}, {3: 1.0}) == 0.0
+    with pytest.raises(ValueError, match="sparse map"):
+        compare_states({0: 1.0}, np.array([1.0, 0.0]))
+
+
+def test_term_bound_doubles_per_h_and_cu_up_to_the_register():
+    u = haar_random_unitary(np.random.default_rng(0))
+    gates = (GateSpec("H", (1,)), GateSpec("X", (2,)), GateSpec("CU", (2, 3), u),
+             GateSpec("SWAP", (1, 3)))
+    assert sparse_term_bound(Circuit(3, gates), 1) == 4
+    assert sparse_term_bound(Circuit(3, gates), 3) == 8
+    assert sparse_term_bound(Circuit(40, gates * 5), 5) == 5 * 2 ** 10
+    assert sparse_term_bound(Circuit(40, gates * 30), 5) == 2 ** 40
+    assert [sparse_cap(n) for n in (1, 7, 8, 18, 24, 25, 64)] == \
+        [0, 0, 1, 1024, 65536, 65536, 65536]
+
+
+def test_sparse_diff_builds_no_register_sized_array(tmp_path, capsys):
+    n = 22
+    rng = np.random.default_rng(22)
+    gates = list(random_circuit(rng, n, 196, _PERMUTATION_AND_PHASE).gates)
+    for q in (3, 9, 14, 20):
+        gates.insert(int(rng.integers(len(gates) + 1)), GateSpec("H", (q,)))
+    circuit, state = tmp_path / "circuit.json", tmp_path / "state.json"
+    circuit.write_text(json.dumps({"n": n, "gates": [{"kind": g.kind, "qubits": list(g.qubits)}
+                                                     for g in gates]}))
+    state.write_text(json.dumps({"n": n, "amplitudes": {"0" * n: [1.0, 0.0]}}))
+    tracemalloc.start()
+    try:
+        code = main(["diff", "--circuit", str(circuit), "--state", str(state)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "result: PASS" in capsys.readouterr().out
+    assert peak < 16 * 2 ** n / 64  # one dense vector is 64 MiB

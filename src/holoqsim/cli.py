@@ -126,7 +126,7 @@ def _indexed(state: HoloState) -> dict[int, complex]:
 def cmd_diff(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
-    n = circuit.nqubits
+    n = circuit.nqubits  # the oracle form is chosen before either engine runs
     bound, cap = sparse_term_bound(circuit, len(state.amplitudes)), sparse_cap(n)
     if bound > cap and not fits_dense(n):
         raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "

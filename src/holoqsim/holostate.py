@@ -36,7 +36,8 @@ ZERO_TOL = 1e-14
 # |<psi|psi> - 1| bound used when flagging a state as normalized.
 NORM_TOL = 1e-10
 # Largest register for which any 2^N amplitude array is built: HoloState.to_vector,
-# the dense gate path of diffop.run_circuit_holo and loop files.
+# the dense gate path of diffop.run_circuit_holo and loop files.  It also sets
+# the cap of the sparse oracle form (oracle.sparse_cap).
 MAX_DENSE_QUBITS = 24
 
 
@@ -321,12 +322,13 @@ class HoloState:
     def to_vector(self) -> np.ndarray:
         """Flat amplitude vector of length 2^N, index = bit string as binary.
 
-        Raises ValueError above MAX_DENSE_QUBITS.  This is where `diff` and
-        `entanglement` allocate 2^N amplitudes, and `diff` holds at most four
-        such vectors of 16 * 2^N bytes at once (measured with tracemalloc at
-        N = 18: in the oracle's H and CU contractions and in compare_states),
-        so 24 qubits peak at 1 GiB and each qubit more doubles it.  A vector
-        form is pruned as its map would be, without building the map.
+        Raises ValueError above MAX_DENSE_QUBITS.  This is where a dense
+        `diff` and `entanglement` allocate 2^N amplitudes (a sparse `diff`
+        never calls it).  A dense `diff` holds about five such vectors of
+        16 * 2^N bytes at once (tracemalloc at N = 16: the engine's result,
+        and the oracle's input, buffer and H contraction), so 24 qubits peak
+        near 1.25 GiB and each qubit more doubles it.  A vector form is
+        pruned as its map would be, without building the map.
         """
         require_dense(self.nqubits)
         if self.vector is not None:

@@ -367,13 +367,6 @@ def test_sparse_compare_is_bitwise_the_dense_compare(n):
         assert compare_states(a, b) == compare_states(_dense(a, n), _dense(b, n))
 
 
-def test_sparse_compare_takes_two_maps():
-    assert compare_states({}, {}) == 0.0
-    assert compare_states({3: 1j}, {3: 1.0}) == 0.0
-    with pytest.raises(ValueError, match="sparse map"):
-        compare_states({0: 1.0}, np.array([1.0, 0.0]))
-
-
 def test_term_bound_doubles_per_h_and_cu_up_to_the_register():
     u = haar_random_unitary(np.random.default_rng(0))
     gates = (GateSpec("H", (1,)), GateSpec("X", (2,)), GateSpec("CU", (2, 3), u),

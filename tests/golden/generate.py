@@ -8,9 +8,9 @@ from a seed by one of the MAKERS below, or given as literal text.  A case
 is one `holoqsim` command line (`simulate`, `diff`, `entanglement`,
 `holonomy`, or `portrait` and `classical-evolve` on short time grids) that
 names its files by relative paths, so that stdout and the output files do
-not depend on where the corpus runs.  All cases
-run in order in one directory that holds the inputs, so a case may read a
-file that an earlier case wrote.
+not depend on where the corpus runs.  All cases run in order in one
+directory that holds the inputs, so a case may read a file that an earlier
+case wrote.
 
 `digests.json` holds, per case, the exit code and the SHA-256 of stdout,
 of stderr and of each output file, beside the Python and numpy versions
@@ -202,12 +202,14 @@ def build_cases() -> dict:
             diff(state, circuits[n][0])
     out18 = simulate(s18, c18)
     diff(s18, c18)
-    # A two-term start at N = 18 under circuits with 9 and 10 H/CU gates.
+    # A two-term start at N = 18 under circuits with 9 and 10 H/CU gates:
+    # term bounds 1 024 and 2 048, either side of the sparse oracle's cap.
+    sparse_kinds = ["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]
     s18_two = add("in/s18_2terms.json", "state", n=18, seed=187, terms=2)
     for name, hadamards in [("in/c18_9branch.json", [4, 11, 17]),
                             ("in/c18_10branch.json", [4, 11, 17, 8])]:
         diff(s18_two, add(name, "circuit", n=18, seed=186, depth=48, hadamards=hadamards,
-                          kinds=["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]))
+                          kinds=sparse_kinds))
     diff("in/s8_full.json", "in/c8_all.json", "--tol", "0")
 
     # Outputs fed back in: dense and sparse ends, and signed zeros.
@@ -226,14 +228,13 @@ def build_cases() -> dict:
     diff(text("in/s18_pair.json", json.dumps(
              {"n": 18, "amplitudes": {"0" * 18: [0.48, 0.64], "0" * 17 + "1": [-0.36, 0.48]}})),
          add("in/c18_pair.json", "circuit", n=18, seed=188, depth=40, hadamards=[18],
-             kinds=["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]))
+             kinds=sparse_kinds))
 
     # A dense run whose 2^N vectors pass numpy's 256 KiB temporary-reuse size.
     diff(add("in/s14_full.json", "state", n=14, seed=141),
          add("in/c14_all.json", "circuit", n=14, seed=142, depth=24))
 
     # Sparse oracle runs above the dense limit, from one and from two terms.
-    sparse_kinds = ["X", "Y", "Z", "SWAP", "CNOT", "CZ", "CU"]
     diff(add("in/s25_zero_sparse.json", "basis", bits="0" * 25),
          add("in/c25_sparse.json", "circuit", n=25, seed=251, depth=60,
              hadamards=[1, 13, 25], kinds=sparse_kinds))

@@ -104,9 +104,25 @@ def _load_state_checked(path: str):
 # -- subcommands ------------------------------------------------------
 
 
+def _checked_term_bound(circuit, state: HoloState, form: str) -> tuple[int, int]:
+    """The circuit's term bound from the state and the sparse cap, checked up front.
+
+    Above MAX_DENSE_QUBITS no 2^N vector can hold the run, so a bound past
+    the cap is refused with exit 2, by the same rule for simulate and diff.
+    """
+    n = circuit.nqubits
+    bound, cap = sparse_term_bound(circuit, len(state.amplitudes)), sparse_cap(n)
+    if bound > cap and not fits_dense(n):
+        raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
+                       f"amplitude vectors, and {form}'s term bound {bound} passes its cap "
+                       f"of {cap} terms")
+    return bound, cap
+
+
 def cmd_simulate(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
+    _checked_term_bound(circuit, state, "the map form")
     out_state = run_circuit_holo(circuit, state)
     save_state(args.out, out_state)
     print(f"wrote {args.out}")
@@ -126,12 +142,8 @@ def _indexed(state: HoloState) -> dict[int, complex]:
 def cmd_diff(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
-    n = circuit.nqubits  # the oracle form is chosen before either engine runs
-    bound, cap = sparse_term_bound(circuit, len(state.amplitudes)), sparse_cap(n)
-    if bound > cap and not fits_dense(n):
-        raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
-                       f"amplitude vectors, and the sparse oracle's term bound {bound} "
-                       f"passes its cap of {cap} terms")
+    # the oracle form is chosen before either engine runs
+    bound, cap = _checked_term_bound(circuit, state, "the sparse oracle")
     holo_out = run_circuit_holo(circuit, state)
     if bound <= cap:
         deviation = compare_states(run_circuit_sparse(circuit, _indexed(state)),

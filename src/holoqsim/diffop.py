@@ -42,17 +42,20 @@ of the kinds without parameters are cached per kind.  A CU block is linear
 in the Pauli components of its u, so the five blocks of P0_c and of P1_c
 times 1, X, Y, Z on the target are derived once and each CU block is
 their weighted sum.  `apply_gate` reads that one cache for both forms
-of a HoloState: a map form sends every stored amplitude through the
-block column that the bits of the gate's qubits select, and a vector
-form's 2^N array is contracted with the block as a [2]*N tensor.
-`run_circuit_holo` keeps a state in the map form until its term count
-reaches a measured crossover, in the vector form from then on, and
-returns it in the form it ends in.  The full-register path
-(`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
-`to_poly`, `from_poly`) stays as the derivation and as the cross-check
-the tests compare against.  H and SWAP always run through their
-substitutions; their operator forms `hadamard_op` and `swap_op` are the
-tests' cross-check of those.
+of a HoloState.  A map form sends every stored amplitude through the
+block column that the bits of the gate's qubits select.  The nonzero
+entries of each column are read into a table, once per kind and once per
+CU gate, and each output label is the input label sliced around the
+gate's one or two positions, so a gate costs a few operations per stored
+term and row, whatever N is.  A vector form's 2^N array is contracted
+with the block as a [2]*N tensor.  `run_circuit_holo` keeps a state in
+the map form until its term count reaches a measured crossover, in the
+vector form from then on, and returns it in the form it ends in.  The
+full-register path (`gate_operator` on N qubits, `apply_diffop`,
+`apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
+as the cross-check the tests compare against.  H and SWAP always run
+through their substitutions; their operator forms `hadamard_op` and
+`swap_op` are the tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -426,20 +431,26 @@ def gate_operator(gate: GateSpec, nqubits: int) -> DiffOperator | Substitution:
 # order (first qubit most significant), and whose rows are the output bits.
 GateBlock = np.ndarray
 
+# Column table of a gate, read-only: input label of its qubits -> ((output
+# characters..., coeff), ...), the nonzero entries of that block column in
+# row order, with labels and characters in the order of the qubits' positions.
+ColumnTable = Mapping[str, tuple[tuple, ...]]
+
 # The stored term count from which run_circuit_holo moves a state to the
 # dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  Unscaled
-# timings of apply_gate, one thread, 2-vCPU x86-64 host, N = 4..18: the
-# sparse path costs 3-9 us per stored term and gate (~4 us on 256 terms);
-# a dense gate costs 21-49 us up to N = 12 and 3.6-4.0 ms at N = 18, i.e.
-# ~30 us plus ~14 ns per amplitude.  Dense pays from ~8 + 2^N / 280 terms:
-# N = 8 goes dense from 9 terms, N = 18 from 1 032, and a 16-term state at
-# N = 18 stays sparse.
+# timings of apply_gate, one thread, 2-vCPU x86-64 host, N = 4..18, random
+# kinds: the sparse path costs 1.2-2.5 us per stored term and gate from 64
+# terms on (~1.5 us on 256 terms), plus 3-6 us per gate (~35 us for a CU,
+# whose block and column table are built per call); a dense gate costs
+# 21-49 us up to N = 12 and 3.6-4.0 ms at N = 18, i.e. ~30 us plus ~14 ns
+# per amplitude.  The constants were set when the sparse path cost ~4 us
+# per term, where dense paid from ~8 + 2^N / 280 terms: N = 8 goes dense
+# from 9 terms, N = 18 from 1 032, and a 16-term state at N = 18 stays
+# sparse.  At today's per-term cost the same figures put the break-even
+# near 20 + 2^N / 110 terms; the constants are left as they are until a
+# scaling curve of both paths measures it with its own benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
-
-
-# Bit labels of a k-qubit block's rows and columns, by k.
-_LABELS = {k: [format(i, f"0{k}b") for i in range(2 ** k)] for k in (1, 2)}
 
 
 def _local_operator(kind: str, u: np.ndarray | None = None) -> DiffOperator | Substitution:
@@ -489,19 +500,50 @@ def gate_block(gate: GateSpec) -> GateBlock:
     return p0 + sum(c * b for c, b in zip(_pauli_components(gate.u), p1_paulis))
 
 
-def _apply_sparse(block: GateBlock, positions: list[int], state: HoloState) -> HoloState:
-    """Send every stored amplitude through the block column its gate bits select."""
-    labels = _LABELS[len(positions)]
-    columns = {col: [(row, c) for row, c in zip(labels, coeffs) if c]
-               for col, coeffs in zip(labels, block.T.tolist())}
+def _column_table(block: GateBlock, swapped: bool) -> ColumnTable:
+    """A block's column table; `swapped` reverses its labels (first qubit after the second)."""
+    k = block.shape[0].bit_length() - 1
+    order = slice(None, None, -1 if swapped else 1)
+    labels = [format(i, f"0{k}b")[order] for i in range(2 ** k)]
+    return MappingProxyType({col: tuple((*row, c) for row, c in zip(labels, coeffs) if c)
+                             for col, coeffs in zip(labels, block.T.tolist())})
+
+
+@functools.cache
+def _fixed_columns(kind: str, swapped: bool) -> ColumnTable:
+    """Column table of a gate without parameters; at most two per kind."""
+    return _column_table(_fixed_block(kind), swapped)
+
+
+def gate_columns(gate: GateSpec) -> ColumnTable:
+    """The column table of a gate, in the position order of its qubits."""
+    swapped = len(gate.qubits) == 2 and gate.qubits[0] > gate.qubits[1]
+    if gate.kind != "CU":
+        return _fixed_columns(gate.kind, swapped)
+    return _column_table(gate_block(gate), swapped)
+
+
+def _apply_sparse(columns: ColumnTable, positions: list[int], state: HoloState) -> HoloState:
+    """Send every stored amplitude through the column its gate bits select.
+
+    Each output label is the input label sliced around the gate's positions
+    with the row's characters put in, so the work is per stored term and row.
+    """
     out: dict[str, complex] = {}
-    for bits, amp in state.amplitudes.items():
-        chars = list(bits)
-        for row, coeff in columns["".join([bits[p] for p in positions])]:
-            for p, ch in zip(positions, row):
-                chars[p] = ch
-            key = "".join(chars)
-            out[key] = out.get(key, 0j) + coeff * amp
+    if len(positions) == 1:
+        p = positions[0]
+        for bits, amp in state.amplitudes.items():
+            head, tail = bits[:p], bits[p + 1:]
+            for r, coeff in columns[bits[p]]:
+                key = f"{head}{r}{tail}"
+                out[key] = out.get(key, 0j) + coeff * amp
+    else:
+        lo, hi = sorted(positions)
+        for bits, amp in state.amplitudes.items():
+            a, m, z = bits[:lo], bits[lo + 1:hi], bits[hi + 1:]
+            for r0, r1, coeff in columns[bits[lo] + bits[hi]]:
+                key = f"{a}{r0}{m}{r1}{z}"
+                out[key] = out.get(key, 0j) + coeff * amp
     return HoloState(state.nqubits, out)
 
 
@@ -516,21 +558,17 @@ def _apply_dense(block: GateBlock, positions: list[int], state: HoloState) -> Ho
 def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     """Apply a gate's local block to a state; the result has the state's form.
 
-    A map-form state goes through the block term by term; a vector-form
-    state is contracted with it as a [2]*N tensor.
+    A map-form state goes through the gate's column table term by term; a
+    vector-form state is contracted with its block as a [2]*N tensor.
     """
     for q in gate.qubits:
         if q > state.nqubits:
             raise ValueError(
                 f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
-    apply = _apply_sparse if state.vector is None else _apply_dense
-    return apply(gate_block(gate), [q - 1 for q in gate.qubits], state)
-
-
-def _dense_pays(state: HoloState) -> bool:
-    n = state.nqubits
-    return fits_dense(n) and (len(state.amplitudes)
-                              >= DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM)
+    positions = [q - 1 for q in gate.qubits]
+    if state.vector is None:
+        return _apply_sparse(gate_columns(gate), positions, state)
+    return _apply_dense(gate_block(gate), positions, state)
 
 
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
@@ -541,15 +579,21 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     DENSE_AMPLITUDES_PER_TERM, then stays in the vector form (never above
     MAX_DENSE_QUBITS), and is returned in the form it ends in.
     """
-    if circuit.nqubits != state.nqubits:
-        raise ValueError(
-            f"circuit is for {circuit.nqubits} qubit(s), state has {state.nqubits}")
+    n = state.nqubits
+    if circuit.nqubits != n:
+        raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
     if state.vector is not None:
-        state = HoloState(state.nqubits, state.amplitudes)
-    for gate in circuit.gates:
-        if state.vector is None and _dense_pays(state):
-            state = HoloState(state.nqubits, state.to_vector())
-        state = apply_gate(gate, state)
+        state = HoloState(n, state.amplitudes)
+    dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
+                  if fits_dense(n) else math.inf)
+    for gate in circuit.gates:  # Circuit has checked every qubit against n
+        positions = [q - 1 for q in gate.qubits]
+        if state.vector is None:
+            if len(state.amplitudes) < dense_from:
+                state = _apply_sparse(gate_columns(gate), positions, state)
+                continue
+            state = HoloState(n, state.to_vector())
+        state = _apply_dense(gate_block(gate), positions, state)
     return state
 
 

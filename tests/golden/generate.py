@@ -346,10 +346,12 @@ def build_cases() -> dict:
     wide_circuit = text("in/c25.json", '{"n": 25, "gates": [{"kind": "X", "qubits": [1]}]}')
     # Recorded as refused before diff had its sparse oracle; it passes now.
     refused("diff above the dense limit", "diff", "--circuit", wide_circuit, "--state", wide)
+    wide_17h = text("in/c25_17h.json", json.dumps(
+        {"n": 25, "gates": [{"kind": "H", "qubits": [q]} for q in range(1, 18)]}))
     refused("diff above the dense limit, term bound past the sparse cap", "diff",
-            "--circuit", text("in/c25_17h.json", json.dumps(
-                {"n": 25, "gates": [{"kind": "H", "qubits": [q]} for q in range(1, 18)]})),
-            "--state", wide)
+            "--circuit", wide_17h, "--state", wide)
+    refused("simulate above the dense limit, term bound past the cap", "simulate",
+            "--circuit", wide_17h, "--state", wide, "--out", "out/refused.json")
     refused("diff tol nan", "diff", "--circuit", c1, "--state", one, "--tol", "nan")
     refused("entanglement seed -1", "entanglement", "--state", one, "--seed", "-1")
     refused("entanglement restarts 0", "entanglement", "--state", one, "--restarts", "0")

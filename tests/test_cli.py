@@ -230,6 +230,41 @@ def test_diff_above_dense_limit_runs_the_sparse_oracle(wide_state, tmp_path, cap
     assert f"nqubits: {n}\n" in stdout and "result: PASS" in stdout
 
 
+@pytest.mark.parametrize("command, form", [("simulate", "the map form"),
+                                           ("diff", "the sparse oracle")])
+def test_term_bound_past_cap_above_dense_limit_exits_2_before_any_run(
+        wide_state, tmp_path, capsys, monkeypatch, command, form):
+    """simulate and diff refuse by one rule, before the engine runs."""
+    n, state = wide_state
+    circ = tmp_path / "wide.json"
+    circ.write_text(json.dumps({"n": n, "gates": [{"kind": "H", "qubits": [q]}
+                                                  for q in range(1, 18)]}))  # bound 2^17
+
+    def no_run(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(holoqsim.cli, "run_circuit_holo", no_run)
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run_cli(capsys, command, "--circuit", str(circ), "--state", state,
+                                   "--out", str(out))
+    assert (code, stdout, out.exists()) == (2, "", False)
+    assert stderr == (f"error: {n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense "
+                      f"2^N amplitude vectors, and {form}'s term bound {2 ** 17} passes its "
+                      f"cap of {2 ** MAX_DENSE_QUBITS // 256} terms\n")
+
+
+def test_simulate_above_dense_limit_within_the_cap_runs(wide_state, tmp_path, capsys):
+    n, state = wide_state
+    circ = tmp_path / "wide.json"
+    gates = [{"kind": "H", "qubits": [q]} for q in range(1, 5)]
+    circ.write_text(json.dumps({"n": n, "gates": gates + [{"kind": "X", "qubits": [n]}]}))
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--circuit", str(circ), "--state", state,
+                                   "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert len(json.loads(out.read_text())["amplitudes"]) == 16
+
+
 def test_diff_malformed_state_exits_2(bell_files, tmp_path, capsys):
     circ, _ = bell_files
     bad = tmp_path / "bad.json"

@@ -41,6 +41,7 @@ from holoqsim.diffop import (
     cz_op,
     derive_block,
     gate_block,
+    gate_columns,
     hadamard_op,
     pauli_x,
     pauli_y,
@@ -594,6 +595,96 @@ def test_cu_blocks_from_cached_components_match_derivation():
         u = haar_random_unitary(rng)
         block = gate_block(GateSpec("CU", (1, 2), u))
         assert np.max(np.abs(block - derive_block(_local_operator("CU", u)))) <= 1e-15
+
+
+# -- the map-form kernel, bit for bit ----------------------------------
+
+
+def reference_apply_sparse(block, positions, state):
+    """The per-character map-form kernel: each output label rebuilt from its characters."""
+    labels = [format(i, f"0{len(positions)}b") for i in range(len(block))]
+    columns = {col: [(row, c) for row, c in zip(labels, coeffs) if c]
+               for col, coeffs in zip(labels, block.T.tolist())}
+    out = {}
+    for bits, amp in state.amplitudes.items():
+        chars = list(bits)
+        for row, coeff in columns["".join([bits[p] for p in positions])]:
+            for p, ch in zip(positions, row):
+                chars[p] = ch
+            key = "".join(chars)
+            out[key] = out.get(key, 0j) + coeff * amp
+    return HoloState(state.nqubits, out)
+
+
+def exact_items(state):
+    """The map in its order, each part as float.hex, so -0.0 differs from 0.0."""
+    return [(bits, amp.real.hex(), amp.imag.hex()) for bits, amp in state.amplitudes.items()]
+
+
+def kernel_gates(n, rng):
+    """Every kind on qubit 1, N and a middle one; pair gates both ways, adjacent and far apart."""
+    singles = sorted({1, (n + 1) // 2, n})
+    pairs = sorted({pair for a, b in ((1, 2), (1, n), (n - 1, n), (n // 3 + 1, n - 2))
+                    if 1 <= a < b <= n for pair in ((a, b), (b, a))})
+    for kind in ALL_KINDS:
+        for qubits in (singles if GATE_ARITY[kind] == 1 else pairs):
+            yield GateSpec(kind, (qubits,) if GATE_ARITY[kind] == 1 else qubits,
+                           haar_random_unitary(rng) if kind == "CU" else None)
+
+
+def kernel_states(n, rng):
+    """A random sparse state, one with signed zeros, and H|0...0>, which H on qubit 1 cancels."""
+    where = rng.choice(2 ** n, min(2 ** n, 7), replace=False)
+    v = rng.standard_normal(where.size) + 1j * rng.standard_normal(where.size)
+    v /= np.linalg.norm(v)
+    yield HoloState(n, {format(int(k), f"0{n}b"): c for k, c in zip(where, v.tolist())})
+    yield HoloState(n, {"0" * n: complex(-0.0, 0.6), "1" * n: complex(0.8, -0.0)})
+    yield apply_gate(GateSpec("H", (1,)), encode_state({"0" * n: 1.0}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_map_kernel_matches_per_character_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for state in kernel_states(n, rng):
+        for gate in kernel_gates(n, rng):
+            got = apply_gate(gate, state)
+            ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], state)
+            assert got.vector is None
+            assert exact_items(got) == exact_items(ref), gate
+
+
+def test_map_kernel_prunes_cancelled_terms():
+    for n in (1, 20):
+        plus = apply_gate(GateSpec("H", (n,)), encode_state({"0" * n: 1.0}))
+        assert len(plus.amplitudes) == 2
+        back = apply_gate(GateSpec("H", (n,)), plus)
+        assert exact_items(back) == exact_items(reference_apply_sparse(
+            gate_block(GateSpec("H", (n,))), [n - 1], plus))
+        assert list(back.amplitudes) == ["0" * n]
+
+
+def test_circuit_run_matches_per_character_fold_bit_for_bit():
+    rng = np.random.default_rng(47)
+    n = 20  # past the crossover only from 4 104 terms: the run stays in the map form
+    circ = random_circuit(rng, n, 120)
+    state = encode_state({"0" * n: 1.0})
+    ref = state
+    for gate in circ.gates:
+        ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], ref)
+    got = run_circuit_holo(circ, state)
+    assert got.vector is None and exact_items(got) == exact_items(ref)
+
+
+def test_cached_column_tables_are_read_only():
+    table = gate_columns(GateSpec("CNOT", (3, 1)))
+    assert table is gate_columns(GateSpec("CNOT", (7, 2)))
+    assert table is not gate_columns(GateSpec("CNOT", (1, 3)))
+    with pytest.raises(TypeError):
+        table["00"] = ()
+    with pytest.raises(TypeError):
+        del table["11"]
+    for rows in table.values():
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 
 @pytest.mark.parametrize("make", [

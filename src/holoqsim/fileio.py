@@ -293,7 +293,8 @@ def csv_text(columns: list[str], rows) -> str:
     row_format = ", ".join(["%.17g"] * len(columns))
     lines = [", ".join(columns)]
     lines += [row_format % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

@@ -16,7 +16,12 @@ Fixing every factor but qubit j, the overlap is linear in c_j with
 coefficient vector w_j (the state contracted against the other factors),
 so the best unit c_j is conj(w_j)/||w_j|| and the new overlap is ||w_j||.
 Each update can only raise the overlap, which gives monotone convergence;
-deterministic seeded restarts guard against local maxima.
+deterministic seeded restarts guard against local maxima.  The restarts
+advance together as one stacked ascent: their factors form one
+(restarts, N, 2) array, every step below is one stacked product over it,
+and a restart leaves the stack at the sweep where it converges.  Each
+restart's arithmetic is that of a lone ascent, bit for bit, since numpy's
+stacked matmul runs the same BLAS kernel per slice.
 
 A sweep updates c_1 .. c_N in order and reuses partial contractions, as ALS
 sweeps do for tensor trains.  At its start the suffix products
@@ -63,8 +68,8 @@ DEFAULT_RESTARTS = 16
 MAX_SWEEPS = 500
 GAIN_TOL = 1e-12
 MIN_LOOP_SAMPLES = 16
-# Most segments bloch_circle_loop builds.  Its rows are a Python list first:
-# 10^6 segments take ~1.2 s with berry_holonomy and peak at ~185 MB (tracemalloc).
+# Most segments bloch_circle_loop builds: 10^6 segments take ~0.4 s with
+# berry_holonomy and peak at ~112 MB (tracemalloc), mostly StateLoop's checks.
 MAX_LOOP_SEGMENTS = 10**6
 LOOP_OVERLAP_FLOOR = 1e-12
 
@@ -161,6 +166,10 @@ def maximize_product_overlap(psi: HoloState,
                              gain_tol: float = GAIN_TOL) -> ProductOverlapResult:
     """Alternating closed-form ascent of |<psi|product>| with seeded restarts.
 
+    Restart r starts from factors drawn by default_rng([seed, r]).  All
+    restarts advance together as one stacked ascent; a restart leaves the
+    stack when a sweep gains less than gain_tol, or when max_sweeps end it,
+    and its record holds the sweeps it ran and its overlap after each.
     Ties between restarts break toward the lower restart index, so results
     are reproducible for a fixed (seed, restarts) pair.  Restarts whose
     overlaps tie to within rounding may pick a different witness after any
@@ -179,40 +188,49 @@ def maximize_product_overlap(psi: HoloState,
     n = psi.nqubits
     conj_vector = psi.to_vector().conj()
 
-    best: tuple[float, int] | None = None
-    best_factors: list[np.ndarray] = []
-    records = []
+    factors = np.empty((restarts, n, 2), dtype=complex)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        factors = []
-        for _ in range(n):
+        for q in range(n):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            factors.append(v / np.linalg.norm(v))
-        overlap = 0.0
-        history = []
-        for sweeps in range(1, max_sweeps + 1):
-            prev = overlap
-            suffixes = [np.ones(1, dtype=complex)]
-            for f in factors[:0:-1]:
-                suffixes.append((f[:, None] * suffixes[-1]).ravel())
-            left = conj_vector
-            for j, right in enumerate(reversed(suffixes)):
-                left = left.reshape(2, -1)
-                w = left @ right
-                nw = math.sqrt(np.vdot(w, w).real)
-                if nw >= 1e-15:  # else an orthogonal trap; keep the factor, restarts cover it
-                    factors[j] = w.conj() / nw
-                    overlap = nw
-                left = factors[j] @ left
-            history.append(overlap)
-            if overlap - prev < gain_tol:
+            factors[r, q] = v / np.linalg.norm(v)
+    histories: list[list[float]] = [[] for _ in range(restarts)]
+    iterations = [max_sweeps] * restarts
+    # The live stack: rows of f and ov belong to the restarts in `active`.
+    active = np.arange(restarts)
+    f, ov = factors.copy(), np.zeros((restarts, 1, 1))
+    for sweeps in range(1, max_sweeps + 1):
+        prev = ov.copy()
+        a = len(active)
+        suffixes = [np.ones((a, 1, 1), dtype=complex)]
+        for q in range(n - 1, 0, -1):
+            suffixes.append((f[:, q, :, None, None] * suffixes[-1][:, None]).reshape(a, -1, 1))
+        left = conj_vector[None]
+        for j, right in enumerate(reversed(suffixes)):
+            left = left.reshape(len(left), 2, -1)
+            w = np.matmul(left, right)
+            wc = w.conj()
+            nw = np.sqrt(np.matmul(wc.transpose(0, 2, 1), w).real)
+            ok = nw >= 1e-15  # else an orthogonal trap; keep the factor, restarts cover it
+            np.divide(wc, nw, out=f[:, j, :, None], where=ok)
+            np.copyto(ov, nw, where=ok)
+            left = np.matmul(f[:, j, None, :], left)
+        for r, o in zip(active.tolist(), ov.ravel().tolist()):
+            histories[r].append(o)
+        done = (ov - prev).ravel() < gain_tol
+        if done.any():
+            factors[active[done]] = f[done]
+            for r in active[done].tolist():
+                iterations[r] = sweeps
+            active, f, ov = active[~done], f[~done], ov[~done]
+            if not len(active):
                 break
-        records.append(RestartRecord(r, sweeps, overlap, tuple(history)))
-        if best is None or overlap > best[0]:
-            best = (overlap, r)
-            best_factors = [f.copy() for f in factors]
-    witness = ProductState(tuple(best_factors))
-    return ProductOverlapResult(min(best[0], 1.0), witness, tuple(records))
+    factors[active] = f  # the restarts that max_sweeps ended
+    records = tuple(RestartRecord(r, iterations[r], histories[r][-1], tuple(histories[r]))
+                    for r in range(restarts))
+    best = int(np.argmax([record.overlap for record in records]))
+    witness = ProductState(tuple(factors[best]))
+    return ProductOverlapResult(min(records[best].overlap, 1.0), witness, records)
 
 
 def entanglement_measure(psi: HoloState,
@@ -333,9 +351,15 @@ def bloch_circle_loop(theta: float, segments: int) -> StateLoop:
         raise ValueError(f"{segments} segments exceed MAX_LOOP_SEGMENTS = {MAX_LOOP_SEGMENTS}")
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    rows = []
-    for k in range(segments):
-        phi = 2.0 * math.pi * k / segments
-        rows.append((c, s * cmath.exp(1j * phi)))
-    rows.append((c, s))
-    return StateLoop(np.array(rows, dtype=complex))
+    rows = np.empty((segments + 1, 2), dtype=complex)
+    rows[:, 0] = c
+    col = rows[:-1, 1]
+    phi = col.imag
+    phi[:] = np.arange(segments)
+    phi *= 2.0 * math.pi
+    phi /= segments
+    col.real = 0.0
+    np.exp(col, out=col)
+    col *= s
+    rows[-1, 1] = s
+    return StateLoop(rows)

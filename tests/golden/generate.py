@@ -31,6 +31,7 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -403,7 +404,9 @@ def run_corpus(corpus: dict, directory: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        return {case["name"]: run_case(case) for case in corpus["cases"]}
+        # argparse wraps its usage lines to the terminal width; the corpus pins 80.
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            return {case["name"]: run_case(case) for case in corpus["cases"]}
     finally:
         os.chdir(cwd)
 

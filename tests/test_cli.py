@@ -5,7 +5,6 @@ import math
 import os
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -639,10 +638,10 @@ def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
 
 
 def test_holonomy_theta_refuses_too_many_segments_before_building_them(monkeypatch, capsys):
-    def exp(_):
+    def empty(*_, **__):
         raise AssertionError("bloch_circle_loop started building its rows")
 
-    monkeypatch.setattr(holoqsim.geometry, "cmath", SimpleNamespace(exp=exp))
+    monkeypatch.setattr(holoqsim.geometry.np, "empty", empty)
     samples = holoqsim.geometry.MAX_LOOP_SEGMENTS + 1
     tracemalloc.start()
     try:

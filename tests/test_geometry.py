@@ -26,7 +26,7 @@ from holoqsim import (
     schmidt_oracle,
 )
 
-from holoqsim.geometry import GAIN_TOL, MAX_SWEEPS, overlap_distance
+from holoqsim.geometry import GAIN_TOL, MAX_SWEEPS, RestartRecord, overlap_distance
 
 from _support import random_state_vector
 
@@ -273,6 +273,114 @@ def test_optimizer_matches_full_contraction_reference(n, seed):
     assert result.overlap == pytest.approx(max(e[1] for e in expected), abs=1e-12)
 
 
+def scalar_restarts(psi, restarts, seed=0, max_sweeps=MAX_SWEEPS, gain_tol=GAIN_TOL):
+    """The optimizer one restart at a time, on 2-D arrays: the same sweep and
+    the same arithmetic as the stacked ascent, which must match it bit for bit.
+    Returns the RestartRecords and the factors of the first restart with the
+    highest overlap."""
+    n = psi.nqubits
+    conj_vector = psi.to_vector().conj()
+    best, best_factors, records = None, [], []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        factors = []
+        for _ in range(n):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            factors.append(v / np.linalg.norm(v))
+        overlap = 0.0
+        history = []
+        for sweeps in range(1, max_sweeps + 1):
+            prev = overlap
+            suffixes = [np.ones(1, dtype=complex)]
+            for f in factors[:0:-1]:
+                suffixes.append((f[:, None] * suffixes[-1]).ravel())
+            left = conj_vector
+            for j, right in enumerate(reversed(suffixes)):
+                left = left.reshape(2, -1)
+                w = left @ right
+                nw = math.sqrt(np.vdot(w, w).real)
+                if nw >= 1e-15:
+                    factors[j] = w.conj() / nw
+                    overlap = nw
+                left = factors[j] @ left
+            history.append(overlap)
+            if overlap - prev < gain_tol:
+                break
+        records.append(RestartRecord(r, sweeps, overlap, tuple(history)))
+        if best is None or overlap > best:
+            best, best_factors = overlap, [f.copy() for f in factors]
+    return records, best_factors
+
+
+def assert_matches_scalar_restarts(psi, restarts, seed, **limits):
+    """Every record, compared by float.hex, and the witness factors, bytewise."""
+    result = maximize_product_overlap(psi, restarts=restarts, seed=seed, **limits)
+    records, factors = scalar_restarts(psi, restarts, seed, **limits)
+
+    def bits(record):
+        return (record.restart, record.iterations, record.overlap.hex(),
+                [h.hex() for h in record.history])
+
+    assert [bits(r) for r in result.restarts] == [bits(r) for r in records]
+    assert result.overlap.hex() == min(max(r.overlap for r in records), 1.0).hex()
+    assert [f.tobytes() for f in result.witness.factors] == [f.tobytes() for f in factors]
+    return result
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 16])
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
+def test_stacked_ascent_is_bitwise_the_scalar_one(n, restarts):
+    for seed in (0, 7 * n + restarts):
+        psi = encode_state(random_state_vector(np.random.default_rng([n, seed]), n))
+        assert_matches_scalar_restarts(psi, restarts, seed)
+
+
+def test_stacked_ascent_restarts_that_stop_at_different_sweeps():
+    psi = encode_state(random_state_vector(np.random.default_rng(8), 8))
+    result = assert_matches_scalar_restarts(psi, 16, 0)
+    assert len({r.iterations for r in result.restarts}) > 1
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_ascent_ended_by_max_sweeps(n, max_sweeps):
+    psi = encode_state(random_state_vector(np.random.default_rng(n), n))
+    result = assert_matches_scalar_restarts(psi, 16, 3, max_sweeps=max_sweeps)
+    assert {r.iterations for r in result.restarts} == {max_sweeps}
+
+
+def test_stacked_ascent_on_a_product_state():
+    rng = np.random.default_rng(21)
+    v = np.ones(1, dtype=complex)
+    for _ in range(8):
+        v = np.kron(v, random_state_vector(rng, 1))
+    result = assert_matches_scalar_restarts(encode_state(v), 16, 0)
+    assert max(r.iterations for r in result.restarts) <= 2
+    # With gain_tol 0 a restart stops only on a sweep that gains nothing or
+    # loses a rounding error, which comes after 2 to 12 sweeps here.
+    result = assert_matches_scalar_restarts(encode_state(v), 16, 0, gain_tol=0.0)
+    assert len({r.iterations for r in result.restarts}) > 1
+
+
+def test_stacked_ascent_keeps_a_factor_at_an_orthogonal_trap(monkeypatch):
+    # Restart 0 starts with qubit 2 at |1>, orthogonal to |00>: its first w_1
+    # is zero, so qubit 1 keeps its start while restart 1 ascends as usual.
+    draws = {0: [[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+             1: [[0.3, -1.2], [0.5, 0.1], [0.9, 0.4], [-0.7, 0.2]]}
+
+    class Scripted:
+        def __init__(self, key):
+            self.draws = iter(draws[key[1]])
+
+        def standard_normal(self, size):
+            return np.array(next(self.draws))
+
+    monkeypatch.setattr(np.random, "default_rng", Scripted)
+    zero = encode_state(np.array([1, 0, 0, 0], dtype=complex))
+    result = assert_matches_scalar_restarts(zero, 2, 0)
+    assert result.restarts[0].history[0] == pytest.approx(1 / SQ2, abs=1e-15)
+
+
 def test_optimizer_deterministic_for_fixed_seed():
     rng = np.random.default_rng(13)
     psi = encode_state(random_state_vector(rng, 3))
@@ -369,6 +477,15 @@ def test_holonomy_equals_per_state_vdot_product(theta, segments):
         olap = complex(np.vdot(vecs[k], vecs[(k + 1) % segments]))
         phase *= olap / abs(olap)
     assert berry_holonomy(bloch_circle_loop(theta, segments)) == -cmath.phase(phase)
+
+
+@pytest.mark.parametrize("segments", [16, 17, 2000, 20000])
+@pytest.mark.parametrize("theta", [1.0, 0.3, 2.5, PI / 2, 0.0, PI, -1.0])
+def test_bloch_circle_loop_is_bitwise_the_per_row_formula(theta, segments):
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    rows = [(c, s * cmath.exp(1j * (2.0 * PI * k / segments))) for k in range(segments)]
+    expected = StateLoop(np.array(rows + [(c, s)], dtype=complex)).vectors
+    assert bloch_circle_loop(theta, segments).vectors.tobytes() == expected.tobytes()
 
 
 def test_holonomy_small_theta_small_phase():

@@ -32,3 +32,14 @@ def test_golden_corpus_digests_are_unchanged(tmp_path):
     moved = [name for name, digest in recorded["cases"].items() if digests.get(name) != digest]
     assert digests.keys() == recorded["cases"].keys()
     assert moved == []
+
+
+def test_refused_cases_give_their_recorded_digests(tmp_path):
+    """The cases the CLI refuses with exit 2 print only an error text: no float
+    that BLAS or the Python and numpy versions can move, so they run everywhere."""
+    recorded = json.loads((GOLDEN / "digests.json").read_text())["cases"]
+    corpus = json.loads((GOLDEN / "cases.json").read_text())
+    refused = [case for case in corpus["cases"] if recorded[case["name"]]["exit"] == 2]
+    assert refused
+    digests = _generator().run_corpus({"inputs": corpus["inputs"], "cases": refused}, tmp_path)
+    assert digests == {case["name"]: recorded[case["name"]] for case in refused}

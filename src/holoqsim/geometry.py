@@ -20,8 +20,8 @@ deterministic seeded restarts guard against local maxima.  The restarts
 advance together as one stacked ascent: their factors form one
 (restarts, N, 2) array, every step below is one stacked product over it,
 and a restart leaves the stack at the sweep where it converges.  Each
-restart's arithmetic is that of a lone ascent, bit for bit, since numpy's
-stacked matmul runs the same BLAS kernel per slice.
+restart's records and factors are bitwise those of a lone ascent on 2-D
+arrays, which the tests keep as their reference.
 
 A sweep updates c_1 .. c_N in order and reuses partial contractions, as ALS
 sweeps do for tensor trains.  At its start the suffix products

@@ -19,9 +19,12 @@ Each update can only raise the overlap, which gives monotone convergence;
 deterministic seeded restarts guard against local maxima.  The restarts
 advance together as one stacked ascent: their factors form one
 (restarts, N, 2) array, every step below is one stacked product over it,
-and a restart leaves the stack at the sweep where it converges.  Each
-restart's records and factors are bitwise those of a lone ascent on 2-D
-arrays, which the tests keep as their reference.
+and a restart leaves the stack at the sweep where it converges.  A stack
+holds at most STACK_AMPLITUDES / 2^N restarts (at least one), and further
+restarts run in later stacks of that size, so from N = 16 up the working
+memory is that of one restart.  Each restart's records and factors are
+bitwise those of a lone ascent on 2-D arrays, which the tests keep as
+their reference.
 
 A sweep updates c_1 .. c_N in order and reuses partial contractions, as ALS
 sweeps do for tensor trains.  At its start the suffix products
@@ -67,6 +70,13 @@ SEPARABLE_TOL = 1e-6
 DEFAULT_RESTARTS = 16
 MAX_SWEEPS = 500
 GAIN_TOL = 1e-12
+# Amplitudes per restart times restarts that one stacked ascent may hold: its
+# suffixes take that many (1 MiB) and its left environments 3/4 of it.  Restarts
+# run in stacks of max(1, STACK_AMPLITUDES >> N): all 16 default ones up to
+# N = 12, and one at a time from N = 16, where the stack costs what a lone
+# ascent costs.  Stacking only saves numpy call overhead, which is small next
+# to a sweep's O(2^N) products there.
+STACK_AMPLITUDES = 2**16
 MIN_LOOP_SAMPLES = 16
 # Most segments bloch_circle_loop builds: 10^6 segments take ~0.4 s with
 # berry_holonomy and peak at ~112 MB (tracemalloc), mostly StateLoop's checks.
@@ -159,6 +169,81 @@ class ProductOverlapResult:
     restarts: tuple[RestartRecord, ...]
 
 
+def _sweep_plan(f: np.ndarray, suffix_buf: np.ndarray, left_bufs: tuple[np.ndarray, ...]):
+    """Views that one sweep of the live stack f reads and writes.
+
+    Returns the suffix builds, (c_k, R_k+1, R_k) for k = N .. 2 with R_k
+    written into suffix_buf and R_N+1 = 1, and the factor steps, (R_j+1, c_j
+    as a column, c_j as a row, L_j+1 as written, L_j+1 as read) for
+    j = 1 .. N with no L_N+1.  Each left environment is half the size of
+    the one it is made from, so they alternate between the two left
+    buffers.  The views are taken once per live stack, not once per step.
+    """
+    a, n = f.shape[:2]
+    suffixes, off = [], 0
+    for k in range(n):
+        suffixes.append(suffix_buf[off:off + (a << k)].reshape(a, -1, 1))
+        off += a << k
+    suffixes[0][...] = 1.0
+    builds = [(f[:, n - k, :, None, None], suffixes[k - 1][:, None], suffixes[k].reshape(a, 2, -1, 1))
+              for k in range(1, n)]
+    lefts = [left_bufs[j % 2][:a << (n - 1 - j)] for j in range(n - 1)]
+    fills = [v.reshape(a, 1, -1) for v in lefts] + [None]
+    reads = [v.reshape(a, 2, -1) for v in lefts] + [None]
+    steps = [(suffixes[n - 1 - j], f[:, j, :, None], f[:, j, None, :], fills[j], reads[j])
+             for j in range(n)]
+    return builds, steps
+
+
+def _stacked_ascent(conj_vector: np.ndarray, factors: np.ndarray,
+                    max_sweeps: int, gain_tol: float) -> tuple[list[list[float]], list[int]]:
+    """Ascend every restart of the (a, N, 2) stack `factors`, updating it in place.
+
+    Returns each restart's overlap after every sweep it ran and its sweep count.
+    Every sweep writes its suffixes and left environments into the same
+    buffers, so a sweep allocates only its 2-vectors and overlaps.
+    """
+    stacked, n = factors.shape[:2]
+    histories: list[list[float]] = [[] for _ in range(stacked)]
+    iterations = [max_sweeps] * stacked
+    suffix_buf = np.empty(stacked << n, dtype=complex)
+    left_bufs = (np.empty(stacked << max(n - 1, 0), dtype=complex),
+                 np.empty(stacked << max(n - 2, 0), dtype=complex))
+    first = conj_vector.reshape(1, 2, -1)
+    # The live stack: rows of f and ov belong to the restarts in `active`.
+    active = np.arange(stacked)
+    f, ov = factors.copy(), np.zeros((stacked, 1, 1))
+    builds, steps = _sweep_plan(f, suffix_buf, left_bufs)
+    for sweeps in range(1, max_sweeps + 1):
+        prev = ov.copy()
+        for c, right, out in builds:
+            np.multiply(c, right, out=out)
+        left = first
+        for right, col, row, fill, read in steps:
+            w = np.matmul(left, right)
+            wc = w.conj()
+            nw = np.sqrt(np.matmul(wc.transpose(0, 2, 1), w).real)
+            ok = nw >= 1e-15  # else an orthogonal trap; keep the factor, restarts cover it
+            np.divide(wc, nw, out=col, where=ok)
+            np.copyto(ov, nw, where=ok)
+            if fill is not None:
+                np.matmul(row, left, out=fill)
+                left = read
+        for r, o in zip(active.tolist(), ov.ravel().tolist()):
+            histories[r].append(o)
+        done = (ov - prev).ravel() < gain_tol
+        if done.any():
+            factors[active[done]] = f[done]
+            for r in active[done].tolist():
+                iterations[r] = sweeps
+            active, f, ov = active[~done], f[~done], ov[~done]
+            if not len(active):
+                break
+            builds, steps = _sweep_plan(f, suffix_buf, left_bufs)
+    factors[active] = f  # the restarts that max_sweeps ended
+    return histories, iterations
+
+
 def maximize_product_overlap(psi: HoloState,
                              restarts: int = DEFAULT_RESTARTS,
                              seed: int = 0,
@@ -166,10 +251,11 @@ def maximize_product_overlap(psi: HoloState,
                              gain_tol: float = GAIN_TOL) -> ProductOverlapResult:
     """Alternating closed-form ascent of |<psi|product>| with seeded restarts.
 
-    Restart r starts from factors drawn by default_rng([seed, r]).  All
-    restarts advance together as one stacked ascent; a restart leaves the
-    stack when a sweep gains less than gain_tol, or when max_sweeps end it,
-    and its record holds the sweeps it ran and its overlap after each.
+    Restart r starts from factors drawn by default_rng([seed, r]).  The
+    restarts advance together as one stacked ascent, in stacks of at most
+    STACK_AMPLITUDES >> N of them; a restart leaves the stack when a sweep
+    gains less than gain_tol, or when max_sweeps end it, and its record
+    holds the sweeps it ran and its overlap after each.
     Ties between restarts break toward the lower restart index, so results
     are reproducible for a fixed (seed, restarts) pair.  Restarts whose
     overlaps tie to within rounding may pick a different witness after any
@@ -194,38 +280,13 @@ def maximize_product_overlap(psi: HoloState,
         for q in range(n):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             factors[r, q] = v / np.linalg.norm(v)
-    histories: list[list[float]] = [[] for _ in range(restarts)]
-    iterations = [max_sweeps] * restarts
-    # The live stack: rows of f and ov belong to the restarts in `active`.
-    active = np.arange(restarts)
-    f, ov = factors.copy(), np.zeros((restarts, 1, 1))
-    for sweeps in range(1, max_sweeps + 1):
-        prev = ov.copy()
-        a = len(active)
-        suffixes = [np.ones((a, 1, 1), dtype=complex)]
-        for q in range(n - 1, 0, -1):
-            suffixes.append((f[:, q, :, None, None] * suffixes[-1][:, None]).reshape(a, -1, 1))
-        left = conj_vector[None]
-        for j, right in enumerate(reversed(suffixes)):
-            left = left.reshape(len(left), 2, -1)
-            w = np.matmul(left, right)
-            wc = w.conj()
-            nw = np.sqrt(np.matmul(wc.transpose(0, 2, 1), w).real)
-            ok = nw >= 1e-15  # else an orthogonal trap; keep the factor, restarts cover it
-            np.divide(wc, nw, out=f[:, j, :, None], where=ok)
-            np.copyto(ov, nw, where=ok)
-            left = np.matmul(f[:, j, None, :], left)
-        for r, o in zip(active.tolist(), ov.ravel().tolist()):
-            histories[r].append(o)
-        done = (ov - prev).ravel() < gain_tol
-        if done.any():
-            factors[active[done]] = f[done]
-            for r in active[done].tolist():
-                iterations[r] = sweeps
-            active, f, ov = active[~done], f[~done], ov[~done]
-            if not len(active):
-                break
-    factors[active] = f  # the restarts that max_sweeps ended
+    histories: list[list[float]] = []
+    iterations: list[int] = []
+    stack = max(1, STACK_AMPLITUDES >> n)
+    for lo in range(0, restarts, stack):
+        h, it = _stacked_ascent(conj_vector, factors[lo:lo + stack], max_sweeps, gain_tol)
+        histories += h
+        iterations += it
     records = tuple(RestartRecord(r, iterations[r], histories[r][-1], tuple(histories[r]))
                     for r in range(restarts))
     best = int(np.argmax([record.overlap for record in records]))

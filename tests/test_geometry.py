@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from holoqsim import (
     schmidt_oracle,
 )
 
+from holoqsim import geometry
 from holoqsim.geometry import GAIN_TOL, MAX_SWEEPS, RestartRecord, overlap_distance
 
 from _support import random_state_vector
@@ -379,6 +381,43 @@ def test_stacked_ascent_keeps_a_factor_at_an_orthogonal_trap(monkeypatch):
     zero = encode_state(np.array([1, 0, 0, 0], dtype=complex))
     result = assert_matches_scalar_restarts(zero, 2, 0)
     assert result.restarts[0].history[0] == pytest.approx(1 / SQ2, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, restarts", [(13, 11), (14, 6), (15, 3)])
+def test_stacked_ascent_split_into_stacks_is_bitwise_the_scalar_one(n, restarts):
+    # STACK_AMPLITUDES >> n restarts share a stack: 8, 4 and 2 here, so the
+    # last stack is a partial one.
+    assert restarts % (geometry.STACK_AMPLITUDES >> n) != 0
+    psi = encode_state(random_state_vector(np.random.default_rng([n, 5]), n))
+    assert_matches_scalar_restarts(psi, restarts, 2)
+
+
+@pytest.mark.parametrize("stack", [1, 3, 5])
+def test_stacked_ascent_in_small_stacks_is_bitwise_the_scalar_one(monkeypatch, stack):
+    monkeypatch.setattr(geometry, "STACK_AMPLITUDES", stack << 8)
+    psi = encode_state(random_state_vector(np.random.default_rng(8), 8))
+    result = assert_matches_scalar_restarts(psi, 16, 0)
+    assert len({r.iterations for r in result.restarts}) > 1
+
+
+def test_stacked_ascent_on_16_qubits_keeps_the_memory_of_one_restart():
+    # From N = 16 up the restarts run one at a time.  A lone ascent holds the
+    # conjugated state (2^N amplitudes), the suffixes (2^N) and two left
+    # environments (3/4 2^N): 2.75 MiB at N = 16, where stacking all 16
+    # restarts holds ~29 MiB.
+    psi = encode_state(random_state_vector(np.random.default_rng(16), 16))
+    assert psi.is_normalized  # builds and caches the amplitude map first
+    tracemalloc.start()
+    try:
+        result = maximize_product_overlap(psi, restarts=16, seed=1, max_sweeps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    records, factors = scalar_restarts(psi, 16, 1, max_sweeps=2)
+    assert [(r.iterations, [h.hex() for h in r.history]) for r in result.restarts] == \
+        [(r.iterations, [h.hex() for h in r.history]) for r in records]
+    assert [f.tobytes() for f in result.witness.factors] == [f.tobytes() for f in factors]
 
 
 def test_optimizer_deterministic_for_fixed_seed():

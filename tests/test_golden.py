@@ -35,8 +35,9 @@ def test_golden_corpus_digests_are_unchanged(tmp_path):
 
 
 def test_refused_cases_give_their_recorded_digests(tmp_path):
-    """The cases the CLI refuses with exit 2 print only an error text: no float
-    that BLAS or the Python and numpy versions can move, so they run everywhere."""
+    """The cases the CLI refuses with exit 2 print only an error text, with no
+    float that BLAS can move, so unlike the full corpus they run on every
+    Python and numpy version the tests run on."""
     recorded = json.loads((GOLDEN / "digests.json").read_text())["cases"]
     corpus = json.loads((GOLDEN / "cases.json").read_text())
     refused = [case for case in corpus["cases"] if recorded[case["name"]]["exit"] == 2]

@@ -70,12 +70,12 @@ SEPARABLE_TOL = 1e-6
 DEFAULT_RESTARTS = 16
 MAX_SWEEPS = 500
 GAIN_TOL = 1e-12
-# Amplitudes per restart times restarts that one stacked ascent may hold: its
-# suffixes take that many (1 MiB) and its left environments 3/4 of it.  Restarts
-# run in stacks of max(1, STACK_AMPLITUDES >> N): all 16 default ones up to
-# N = 12, and one at a time from N = 16, where the stack costs what a lone
-# ascent costs.  Stacking only saves numpy call overhead, which is small next
-# to a sweep's O(2^N) products there.
+# Bound on restarts x 2^N, the amplitudes a stacked ascent's suffixes hold
+# (1 MiB), unless one restart alone needs more; its left environments hold
+# 3/4 as many.  Restarts run in stacks of max(1, STACK_AMPLITUDES >> N): all
+# 16 default ones up to N = 12, and one at a time from N = 16, where the
+# memory is that of a lone ascent.  Stacking saves numpy call overhead per
+# step, which is small next to a sweep's O(2^N) products there.
 STACK_AMPLITUDES = 2**16
 MIN_LOOP_SAMPLES = 16
 # Most segments bloch_circle_loop builds: 10^6 segments take ~0.4 s with

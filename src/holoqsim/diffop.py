@@ -51,6 +51,14 @@ term and row, whatever N is.  A vector form's 2^N array is contracted
 with the block as a [2]*N tensor.  `run_circuit_holo` keeps a state in
 the map form until its term count reaches a measured crossover, in the
 vector form from then on, and returns it in the form it ends in.  The
+map form passes between gates as a plain dict, pruned at ZERO_TOL as
+HoloState prunes, and is checked as a HoloState once per circuit, at the
+dense switch or at the end; `apply_gate` checks it per gate.  That is
+safe because every output label is cut from a label that was checked
+and filled with a block table's '0'/'1' characters, and every block was
+checked by `from_poly` when it was derived.  Only the values can go
+wrong, when an unnormalized start overflows, and a non-finite value stays
+non-finite under these blocks, so the one check still refuses it.  The
 full-register path (`gate_operator` on N qubits, `apply_diffop`,
 `apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
 as the cross-check the tests compare against.  H and SWAP always run
@@ -261,21 +269,21 @@ class GateSpec:
     u: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in GATE_ARITY:
+        arity = GATE_ARITY.get(self.kind) if isinstance(self.kind, str) else None
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         try:  # operator.index takes numpy integers and refuses floats; bools are refused here
-            if any(isinstance(q, bool) for q in self.qubits):
+            if bool in map(type, self.qubits):
                 raise TypeError
-            qs = tuple(operator.index(q) for q in self.qubits)
+            qs = tuple(map(operator.index, self.qubits))
         except TypeError:
             raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
         object.__setattr__(self, "qubits", qs)
-        if len(qs) != GATE_ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} qubit(s), got {qs}")
-        if any(q < 1 for q in qs):
+        if len(qs) != arity:
+            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {qs}")
+        if min(qs) < 1:
             raise ValueError(f"qubit indices are 1-based, got {qs}")
-        if len(set(qs)) != len(qs):
+        if arity == 2 and qs[0] == qs[1]:
             raise ValueError(f"repeated qubit in {qs}")
         if self.kind == "CU":
             if self.u is None:
@@ -438,17 +446,19 @@ ColumnTable = Mapping[str, tuple[tuple, ...]]
 
 # The stored term count from which run_circuit_holo moves a state to the
 # dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  Unscaled
-# timings of apply_gate, one thread, 2-vCPU x86-64 host, N = 4..18, random
-# kinds: the sparse path costs 1.2-2.5 us per stored term and gate from 64
-# terms on (~1.5 us on 256 terms), plus 3-6 us per gate (~35 us for a CU,
-# whose block and column table are built per call); a dense gate costs
-# 21-49 us up to N = 12 and 3.6-4.0 ms at N = 18, i.e. ~30 us plus ~14 ns
-# per amplitude.  The constants were set when the sparse path cost ~4 us
-# per term, where dense paid from ~8 + 2^N / 280 terms: N = 8 goes dense
-# from 9 terms, N = 18 from 1 032, and a 16-term state at N = 18 stays
-# sparse.  At today's per-term cost the same figures put the break-even
-# near 20 + 2^N / 110 terms; the constants are left as they are until a
-# scaling curve of both paths measures it with its own benchmark pairs.
+# timings of one map-form gate as the fold runs it (the kernel, no per-gate
+# check), one thread, 2-vCPU x86-64 host, N = 8, 12 and 18, random
+# non-CU kinds, median over gates of the best of 7: 0.8-1.6 us per stored
+# term and gate from 16 terms on (~0.9 us on 256 terms when the host is
+# quiet), 1.5-3 us for a one-term gate (20-40 us for a CU, whose block and
+# column table are built per call); a dense gate costs 28-66 us up to N = 12
+# and 4.1-4.5 ms at N = 18, i.e. ~30 us plus ~16 ns per amplitude.  The
+# constants were set when the sparse path cost ~4 us per term, where dense
+# paid from ~8 + 2^N / 280 terms: N = 8 goes dense from 9 terms, N = 18
+# from 1 032, and a 16-term state at N = 18 stays sparse.  At today's
+# per-term cost the same figures put the break-even near 30 + 2^N / 60
+# terms; the constants are left as they are until a scaling curve of both
+# paths measures it with its own benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
 
@@ -523,28 +533,31 @@ def gate_columns(gate: GateSpec) -> ColumnTable:
     return _column_table(gate_block(gate), swapped)
 
 
-def _apply_sparse(columns: ColumnTable, positions: list[int], state: HoloState) -> HoloState:
+def _apply_sparse(columns: ColumnTable, positions: list[int],
+                  amplitudes: dict[str, complex]) -> dict[str, complex]:
     """Send every stored amplitude through the column its gate bits select.
 
     Each output label is the input label sliced around the gate's positions
     with the row's characters put in, so the work is per stored term and row.
+    The result is pruned as HoloState prunes, in the same order, but not
+    checked: a non-finite entry stays for the caller's HoloState to refuse.
     """
     out: dict[str, complex] = {}
     if len(positions) == 1:
         p = positions[0]
-        for bits, amp in state.amplitudes.items():
+        for bits, amp in amplitudes.items():
             head, tail = bits[:p], bits[p + 1:]
             for r, coeff in columns[bits[p]]:
                 key = f"{head}{r}{tail}"
                 out[key] = out.get(key, 0j) + coeff * amp
     else:
         lo, hi = sorted(positions)
-        for bits, amp in state.amplitudes.items():
+        for bits, amp in amplitudes.items():
             a, m, z = bits[:lo], bits[lo + 1:hi], bits[hi + 1:]
             for r0, r1, coeff in columns[bits[lo] + bits[hi]]:
                 key = f"{a}{r0}{m}{r1}{z}"
                 out[key] = out.get(key, 0j) + coeff * amp
-    return HoloState(state.nqubits, out)
+    return {k: c for k, c in out.items() if not abs(c) <= ZERO_TOL}  # keeps NaN
 
 
 def _apply_dense(block: GateBlock, positions: list[int], state: HoloState) -> HoloState:
@@ -567,7 +580,8 @@ def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
                 f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
     positions = [q - 1 for q in gate.qubits]
     if state.vector is None:
-        return _apply_sparse(gate_columns(gate), positions, state)
+        amplitudes = _apply_sparse(gate_columns(gate), positions, state.amplitudes)
+        return HoloState(state.nqubits, amplitudes)
     return _apply_dense(gate_block(gate), positions, state)
 
 
@@ -577,23 +591,31 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     A vector-form start is first pruned to its map.  The state stays in the
     map form until its term count reaches DENSE_MIN_TERMS + 2^N /
     DENSE_AMPLITUDES_PER_TERM, then stays in the vector form (never above
-    MAX_DENSE_QUBITS), and is returned in the form it ends in.
+    MAX_DENSE_QUBITS), and is returned in the form it ends in.  The map form
+    passes between gates as a plain dict and is checked as a HoloState once,
+    at the dense switch or at the end, so a non-finite amplitude is refused
+    there rather than at the gate that made it.
     """
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
     if state.vector is not None:
         state = HoloState(n, state.amplitudes)
+    amps = state.amplitudes  # the checked start; the map form's gates replace it
     dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
                   if fits_dense(n) else math.inf)
     for gate in circuit.gates:  # Circuit has checked every qubit against n
         positions = [q - 1 for q in gate.qubits]
         if state.vector is None:
-            if len(state.amplitudes) < dense_from:
-                state = _apply_sparse(gate_columns(gate), positions, state)
+            if len(amps) < dense_from:
+                amps = _apply_sparse(gate_columns(gate), positions, amps)
                 continue
+            if amps is not state.amplitudes:  # a gate has run since the start
+                state = HoloState(n, amps)
             state = HoloState(n, state.to_vector())
         state = _apply_dense(gate_block(gate), positions, state)
+    if state.vector is None and amps is not state.amplitudes:
+        state = HoloState(n, amps)
     return state
 
 

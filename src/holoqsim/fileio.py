@@ -223,15 +223,15 @@ def load_circuit(path: str) -> Circuit:
     if not isinstance(doc["gates"], list):
         raise FormatError(f'{path}: "gates" must be a list')
     gates = []
-    for idx, entry in enumerate(doc["gates"]):
-        where = f"{path}: gate {idx}"
+    for idx, entry in enumerate(doc["gates"]):  # messages are formatted only when raised
         if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
+            raise FormatError(f"{path}: gate {idx} must be an object")
         qubits = entry.get("qubits")
         if not isinstance(qubits, list):
-            raise FormatError(f'{where}: "qubits" must be a list')
+            raise FormatError(f'{path}: gate {idx}: "qubits" must be a list')
         u = None
         if "u" in entry:
+            where = f"{path}: gate {idx}"
             raw = entry["u"]
             if (not isinstance(raw, list) or len(raw) != 2
                     or any(not isinstance(row, list) or len(row) != 2 for row in raw)):
@@ -241,7 +241,7 @@ def load_circuit(path: str) -> Circuit:
         try:
             gates.append(GateSpec(entry.get("kind"), tuple(qubits), u))
         except ValueError as exc:
-            raise FormatError(f"{where}: {exc}")
+            raise FormatError(f"{path}: gate {idx}: {exc}")
     try:
         return Circuit(n, tuple(gates))
     except ValueError as exc:

@@ -289,14 +289,23 @@ class HoloState:
     @property
     def amplitudes(self) -> dict[str, complex]:
         """Bit string -> amplitude; a non-finite vector entry raises ValueError naming its label."""
-        if self._amplitudes is None:  # flatnonzero keeps NaN and inf, and allocates per term only
-            n, index = self.nqubits, np.flatnonzero(self.vector)
-            values = self.vector[index]
-            self._refuse_non_finite(index[~np.isfinite(values)])
-            kept = np.abs(values) > ZERO_TOL
+        if self._amplitudes is None:
+            n, (index, values) = self.nqubits, self._stored()
             self._amplitudes = {format(k, f"0{n}b"): c for k, c in
-                                zip(index[kept].tolist(), values[kept].tolist())}
+                                zip(index.tolist(), values.tolist())}
         return self._amplitudes
+
+    def _stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and values of the vector's entries above ZERO_TOL, in index order.
+
+        A non-finite entry raises ValueError naming its label.  flatnonzero
+        keeps NaN and inf, and allocates per term only.
+        """
+        index = np.flatnonzero(self.vector)
+        values = self.vector[index]
+        self._refuse_non_finite(index[~np.isfinite(values)])
+        kept = np.abs(values) > ZERO_TOL
+        return index[kept], values[kept]
 
     def _refuse_non_finite(self, bad: np.ndarray) -> None:
         """Raise ValueError naming the first of these vector indices, if any."""
@@ -313,9 +322,16 @@ class HoloState:
         return self._is_normalized
 
     def norm(self) -> float:
-        """2-norm of the amplitudes; inf when a square overflows a float."""
+        """2-norm of the amplitudes; inf when a square overflows a float.
+
+        A vector form sums its stored entries in the map's order, without building the map.
+        """
+        if self._amplitudes is None:
+            values = self._stored()[1].tolist()
+        else:
+            values = self._amplitudes.values()
         try:
-            return math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+            return math.sqrt(sum(abs(c) ** 2 for c in values))
         except OverflowError:
             return math.inf
 

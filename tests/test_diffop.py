@@ -36,6 +36,7 @@ from holoqsim.diffop import (
     DENSE_AMPLITUDES_PER_TERM,
     DENSE_MIN_TERMS,
     GATE_ARITY,
+    _apply_sparse,
     _local_operator,
     cnot_op,
     cz_op,
@@ -319,19 +320,36 @@ def test_gatespec_validation():
 
 
 @pytest.mark.parametrize("kind, qubits, message", [
-    ("X", (1.9,), r"qubit indices must be integers, got \(1\.9,\)"),
-    ("CNOT", (True, 2), r"qubit indices must be integers, got \(True, 2\)"),
-    (["X"], (1,), r"unknown gate kind \['X'\]"),
-], ids=["float", "bool", "list-kind"])
-def test_gatespec_refuses_non_integer_qubits_and_non_string_kind(kind, qubits, message):
-    with pytest.raises(ValueError, match=message):
+    ("X", (1.9,), "qubit indices must be integers, got (1.9,)"),
+    ("H", (1.5,), "qubit indices must be integers, got (1.5,)"),
+    ("CNOT", (True, 2), "qubit indices must be integers, got (True, 2)"),
+    ("X", (np.True_,), "qubit indices must be integers, got (np.True_,)"),
+    ("CZ", (1, np.False_), "qubit indices must be integers, got (1, np.False_)"),
+    ("X", 1, "qubit indices must be integers, got 1"),
+    ("X", (0,), "qubit indices are 1-based, got (0,)"),
+    ("CNOT", (2, -1), "qubit indices are 1-based, got (2, -1)"),
+    ("SWAP", (np.int64(3), np.int64(3)), "repeated qubit in (3, 3)"),
+    ("X", (1, 2), "X takes 1 qubit(s), got (1, 2)"),
+    ("CU", (), "CU takes 2 qubit(s), got ()"),
+    ("CU", (0, 0), "qubit indices are 1-based, got (0, 0)"),
+    (["X"], (1,), "unknown gate kind ['X']"),
+    (7, (1,), "unknown gate kind 7"),
+    (None, (1,), "unknown gate kind None"),
+    ("x", (1,), "unknown gate kind 'x'"),
+], ids=["float", "float-h", "bool", "numpy-bool", "numpy-bool-second", "not-a-sequence",
+        "zero", "negative", "repeated", "arity-1", "arity-2", "zero-before-repeat",
+        "list-kind", "int-kind", "no-kind", "lower-case-kind"])
+def test_gatespec_refusals_keep_their_messages(kind, qubits, message):
+    with pytest.raises(ValueError) as err:
         GateSpec(kind, qubits)
+    assert str(err.value) == message
 
 
 def test_gatespec_takes_numpy_integer_qubits():
-    gate = GateSpec("CNOT", (np.int64(2), np.int32(1)))
-    assert gate.qubits == (2, 1)
-    assert all(type(q) is int for q in gate.qubits)
+    for qubits in ((np.int64(2), np.int32(1)), (np.uint8(2), 1), [np.int16(2), 1]):
+        gate = GateSpec("CNOT", qubits)
+        assert gate.qubits == (2, 1)
+        assert all(type(q) is int for q in gate.qubits)
 
 
 def test_circuit_rejects_out_of_range_qubits():
@@ -616,9 +634,11 @@ def reference_apply_sparse(block, positions, state):
     return HoloState(state.nqubits, out)
 
 
-def exact_items(state):
-    """The map in its order, each part as float.hex, so -0.0 differs from 0.0."""
-    return [(bits, amp.real.hex(), amp.imag.hex()) for bits, amp in state.amplitudes.items()]
+def exact_items(amplitudes):
+    """A state's or a kernel's map in its order, each part as float.hex, so -0.0 differs from 0.0."""
+    if isinstance(amplitudes, HoloState):
+        amplitudes = amplitudes.amplitudes
+    return [(bits, amp.real.hex(), amp.imag.hex()) for bits, amp in amplitudes.items()]
 
 
 def kernel_gates(n, rng):
@@ -647,20 +667,36 @@ def test_map_kernel_matches_per_character_reference_bit_for_bit(n):
     rng = np.random.default_rng(n)
     for state in kernel_states(n, rng):
         for gate in kernel_gates(n, rng):
-            got = apply_gate(gate, state)
-            ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], state)
-            assert got.vector is None
+            positions = [q - 1 for q in gate.qubits]
+            got = _apply_sparse(gate_columns(gate), positions, state.amplitudes)
+            ref = reference_apply_sparse(gate_block(gate), positions, state)
+            assert type(got) is dict
             assert exact_items(got) == exact_items(ref), gate
+            assert exact_items(apply_gate(gate, state)) == exact_items(ref), gate
 
 
 def test_map_kernel_prunes_cancelled_terms():
     for n in (1, 20):
-        plus = apply_gate(GateSpec("H", (n,)), encode_state({"0" * n: 1.0}))
+        h = GateSpec("H", (n,))
+        plus = apply_gate(h, encode_state({"0" * n: 1.0}))
         assert len(plus.amplitudes) == 2
-        back = apply_gate(GateSpec("H", (n,)), plus)
+        back = _apply_sparse(gate_columns(h), [n - 1], plus.amplitudes)
         assert exact_items(back) == exact_items(reference_apply_sparse(
-            gate_block(GateSpec("H", (n,))), [n - 1], plus))
-        assert list(back.amplitudes) == ["0" * n]
+            gate_block(h), [n - 1], plus))
+        assert list(back) == ["0" * n]
+        assert exact_items(apply_gate(h, plus)) == exact_items(back)
+
+
+def test_map_kernel_keeps_non_finite_entries_for_the_check():
+    h = gate_columns(GateSpec("H", (1,)))
+    overflow = _apply_sparse(h, [0], {"0": 1.5e308 + 0j, "1": 1.5e308 + 0j})
+    assert list(overflow) == ["0"] and overflow["0"].real == math.inf  # "1" cancels to 0
+    nan = _apply_sparse(h, [0], overflow)  # inf * (1/sqrt2 + 0j) has a NaN imaginary part
+    assert list(nan) == ["0", "1"]
+    assert all(math.isnan(c.imag) for c in nan.values())
+    assert list(_apply_sparse(gate_columns(GateSpec("X", (1,))), [0], nan)) == ["1", "0"]
+    with pytest.raises(ValueError, match="not finite"):
+        HoloState(1, nan)
 
 
 def test_circuit_run_matches_per_character_fold_bit_for_bit():
@@ -673,6 +709,62 @@ def test_circuit_run_matches_per_character_fold_bit_for_bit():
         ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], ref)
     got = run_circuit_holo(circ, state)
     assert got.vector is None and exact_items(got) == exact_items(ref)
+
+
+def per_gate_fold(circuit, state):
+    """run_circuit_holo's fold through the public per-gate API: a checked HoloState per gate."""
+    n = state.nqubits
+    dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
+                  if n <= holostate.MAX_DENSE_QUBITS else math.inf)
+    state = HoloState(n, state.amplitudes)
+    for gate in circuit.gates:
+        if state.vector is None and len(state.amplitudes) >= dense_from:
+            state = HoloState(n, state.to_vector())
+        state = apply_gate(gate, state)
+    return state
+
+
+def fold_cases():
+    """Runs in the map form, and runs that cross the dense switch mid-circuit."""
+    rng = np.random.default_rng(48)
+    signed = {"000": complex(-0.0, 0.6), "111": complex(0.8, -0.0)}
+    yield Circuit(1, (GateSpec("H", (1,)),) * 3), encode_state({"0": 1.0})
+    for n, start in ((1, {"1": 1.0}), (2, {"01": 1.0}), (3, {"000": 1.0}), (3, signed),
+                     (20, {"0" * 20: 1.0})):
+        for _ in range(3):
+            yield random_circuit(rng, n, 40), encode_state(start)
+    # N = 8 from one term: three H keep 8 terms in the map form, the fourth makes 16,
+    # so the next gate goes dense; the CU gates run on both sides of the switch.
+    for switch_at in (3, 4):
+        hs = tuple(GateSpec("H", (q,)) for q in range(1, switch_at + 1))
+        cus = tuple(GateSpec("CU", (q, 9 - q), haar_random_unitary(rng)) for q in (1, 2))
+        yield (Circuit(8, cus + hs + cus + random_circuit(rng, 8, 30).gates),
+               encode_state({"0" * 8: 1.0}))
+
+
+def test_circuit_run_equals_per_gate_fold_bit_for_bit():
+    for circ, state in fold_cases():
+        got, ref = run_circuit_holo(circ, state), per_gate_fold(circ, state)
+        assert (got.vector is None) == (ref.vector is None)
+        assert exact_items(got) == exact_items(ref), circ
+    crossed = [run_circuit_holo(c, s).vector is not None for c, s in fold_cases()]
+    assert crossed.count(True) >= 2 and crossed.count(False) >= 10
+
+
+def test_circuit_run_refuses_a_non_finite_result_in_either_form():
+    """An unnormalized start whose sums overflow: refused at the end or at the dense switch."""
+    n = 3
+    start = HoloState(n, {"000": 1.5e308, "100": 1.5e308})
+    h1 = GateSpec("H", (1,))
+    spread = tuple(GateSpec("H", (q,)) for q in (2, 3, 1))  # 8 terms at N = 3: the switch
+    for gates in [(h1,), (h1, h1), (h1,) + spread, (h1,) + spread + (GateSpec("X", (2,)),)]:
+        with pytest.raises(ValueError, match="not finite"):
+            run_circuit_holo(Circuit(n, gates), start)
+    # The X after the switch runs dense, and a vector form is read lazily, so only the
+    # check at the switch can refuse that run.  Sums below the overflow stay finite.
+    large = Circuit(n, (h1,) * 2)
+    finite = HoloState(n, {"000": 1e308, "100": 1e308})
+    assert exact_items(run_circuit_holo(large, finite)) == exact_items(per_gate_fold(large, finite))
 
 
 def test_cached_column_tables_are_read_only():

@@ -247,12 +247,27 @@ BAD_GATE_ENTRIES = [
      "qubit indices must be integers, got (True, 2)"),
     ('{"kind": "X", "qubits": [1], %s}' % IDENTITY_U, "X does not take a unitary block"),
     ('{"kind": "CU", "qubits": [1, 2]}', "CU requires a 2x2 unitary block"),
+    ('{"kind": 7, "qubits": [1]}', "unknown gate kind 7"),
+    ('{"kind": null, "qubits": [1]}', "unknown gate kind None"),
+    ('{"kind": "CZ", "qubits": [1, false]}',
+     "qubit indices must be integers, got (1, False)"),
+    ('{"kind": "X", "qubits": [0]}', "qubit indices are 1-based, got (0,)"),
+    ('{"kind": "CNOT", "qubits": [2, -1]}', "qubit indices are 1-based, got (2, -1)"),
+    ('{"kind": "SWAP", "qubits": [2, 2]}', "repeated qubit in (2, 2)"),
+    ('{"kind": "X", "qubits": [1, 2]}', "X takes 1 qubit(s), got (1, 2)"),
+    ('{"kind": "CNOT", "qubits": [1]}', "CNOT takes 2 qubit(s), got (1,)"),
+    ('{"kind": "H", "qubits": []}', "H takes 1 qubit(s), got ()"),
+    ('{"kind": "CU", "qubits": [1, 2], "u": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+     "CU block is not a finite unitary within 1e-10"),
 ]
 
 
 @pytest.mark.parametrize("entry, message", BAD_GATE_ENTRIES,
                          ids=["unknown", "list-kind", "no-kind", "float-qubit", "bool-qubit",
-                              "stray-u", "cu-without-u"])
+                              "stray-u", "cu-without-u", "int-kind", "null-kind",
+                              "bool-second-qubit", "zero-qubit", "negative-qubit",
+                              "repeated-qubit", "arity-1", "arity-2", "no-qubits",
+                              "non-unitary-u"])
 def test_circuit_and_gatespec_refuse_bad_gate_alike(tmp_path, entry, message):
     doc = json.loads(entry)
     u = np.array([[complex(*c) for c in row] for row in doc["u"]]) if "u" in doc else None
@@ -263,6 +278,36 @@ def test_circuit_and_gatespec_refuse_bad_gate_alike(tmp_path, entry, message):
     with pytest.raises(FormatError) as err:
         load_circuit(path)
     assert str(err.value) == f"{path}: gate 0: {message}"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('[1]', "gate 1 must be an object"),
+    ('{"kind": "X"}', 'gate 1: "qubits" must be a list'),
+    ('{"kind": "X", "qubits": 1}', 'gate 1: "qubits" must be a list'),
+    ('{"kind": "CU", "qubits": [1, 2], "u": [1, 0]}',
+     'gate 1: "u" must be a 2x2 matrix of [re, im] pairs'),
+    ('{"kind": "CU", "qubits": [1, 2], "u": [[[1, 0], [0, 0]], [[0, 0], [1]]]}',
+     'gate 1: a "u" entry must be a [real, imag] pair'),
+    ('{"kind": "CU", "qubits": [1, 2], "u": [[[1, 0], [0, 0]], [[0, 0], [1%s, 0]]]}' % ("0" * 400),
+     'gate 1: a "u" entry is too large for a float'),
+], ids=["not-object", "no-qubits", "int-qubits", "flat-u", "short-u-cell", "huge-u-cell"])
+def test_circuit_loader_refusals_name_file_and_gate(tmp_path, entry, message):
+    path = write(tmp_path, "circ.json",
+                 '{"n": 2, "gates": [{"kind": "H", "qubits": [1]}, %s]}' % entry)
+    with pytest.raises(FormatError) as err:
+        load_circuit(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_circuit_loader_takes_each_gate_field_as_given(tmp_path):
+    doc = {"n": 3, "gates": [{"kind": "CNOT", "qubits": [3, 1]}, {"kind": "H", "qubits": [2]},
+                             {"kind": "CU", "qubits": [2, 3],
+                              "u": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]}
+    circuit = load_circuit(write(tmp_path, "circ.json", json.dumps(doc)))
+    assert [(g.kind, g.qubits) for g in circuit.gates] == [
+        ("CNOT", (3, 1)), ("H", (2,)), ("CU", (2, 3))]
+    assert all(type(q) is int for g in circuit.gates for q in g.qubits)
+    assert circuit.gates[2].u.tolist() == [[0j, 1 + 0j], [1 + 0j, 0j]]
 
 
 # -- loops ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Encoding, decoding, homogeneity, and the Gaussian inner product."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,31 @@ def test_map_and_vector_forms_of_one_state_read_the_same():
     assert vector_form.norm() == map_form.norm()
     assert vector_form.to_vector().tobytes() == map_form.to_vector().tobytes()
     assert repr(vector_form) == repr(map_form)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def test_vector_norm_equals_map_norm_bitwise_without_building_the_map(n):
+    v = random_state_vector(np.random.default_rng(100 + n), n) * 3.0
+    v[[0, -1]] = [1e-15, complex(-0.0, 0.5)]  # one pruned entry, one signed zero kept
+    vector_form = HoloState(n, v.copy())
+    map_form = HoloState(n, {format(k, f"0{n}b"): c for k, c in enumerate(v.tolist())})
+    assert vector_form.norm().hex() == map_form.norm().hex()
+    assert vector_form._amplitudes is None
+    vector_form.amplitudes  # once the map is cached, norm reads it
+    assert vector_form.norm().hex() == map_form.norm().hex()
+
+
+def test_vector_norm_holds_no_label_map():
+    n = 16
+    state = HoloState(n, random_state_vector(np.random.default_rng(16), n))
+    tracemalloc.start()
+    try:
+        assert state.is_normalized
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state._amplitudes is None
+    assert peak < 6 * 2 ** 20  # the 2^16-label map alone holds ~7.9 MiB
 
 
 def test_vector_form_with_nan_is_refused_naming_its_label():

@@ -326,10 +326,8 @@ class HoloState:
 
         A vector form sums its stored entries in the map's order, without building the map.
         """
-        if self._amplitudes is None:
-            values = self._stored()[1].tolist()
-        else:
-            values = self._amplitudes.values()
+        amps = self._amplitudes
+        values = self._stored()[1].tolist() if amps is None else amps.values()
         try:
             return math.sqrt(sum(abs(c) ** 2 for c in values))
         except OverflowError:

@@ -339,7 +339,7 @@ def test_gatespec_validation():
 ], ids=["float", "float-h", "bool", "numpy-bool", "numpy-bool-second", "not-a-sequence",
         "zero", "negative", "repeated", "arity-1", "arity-2", "zero-before-repeat",
         "list-kind", "int-kind", "no-kind", "lower-case-kind"])
-def test_gatespec_refusals_keep_their_messages(kind, qubits, message):
+def test_gatespec_refuses_non_integer_qubits_and_non_string_kind(kind, qubits, message):
     with pytest.raises(ValueError) as err:
         GateSpec(kind, qubits)
     assert str(err.value) == message

@@ -614,9 +614,7 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
                 state = HoloState(n, amps)
             state = HoloState(n, state.to_vector())
         state = _apply_dense(gate_block(gate), positions, state)
-    if state.vector is None and amps is not state.amplitudes:
-        state = HoloState(n, amps)
-    return state
+    return state if state.vector is not None else HoloState(n, amps)
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -15,8 +15,12 @@ case wrote.
 `digests.json` holds, per case, the exit code and the SHA-256 of stdout,
 of stderr and of each output file, beside the Python and numpy versions
 that produced them: the digests pin float output to the last bit, which
-can move with either.  Rewriting `digests.json` is a change to a check:
-say so, and name every case whose digest moved and why.
+can move with either.  They can also follow BLAS's thread count (the
+2^14-amplitude input of `diff s14_full c14_all` is normalized by a BLAS
+dot product), so the inputs are written and the cases run in a child
+interpreter with BLAS pinned to one thread, as bench/run.py pins it,
+whatever the caller's environment.  Rewriting `digests.json` is a change to a check: say so,
+and name every case whose digest moved and why.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -40,6 +44,18 @@ CASES = HERE / "cases.json"
 DIGESTS = HERE / "digests.json"
 
 ALL_KINDS = ("X", "Y", "Z", "H", "SWAP", "CNOT", "CZ", "CU")
+
+# The child that runs the corpus: argv holds the holoqsim source directory and
+# this one, stdin the corpus, and stdout gets the digests as JSON.
+CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import generate
+print(json.dumps(generate.run_here(json.load(sys.stdin))))
+"""
+# argparse wraps its usage lines to the terminal width; the corpus pins 80.
+CHILD_ENVIRONMENT = {"COLUMNS": "80", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                     "MKL_NUM_THREADS": "1"}
 
 
 # -- input files ------------------------------------------------------
@@ -397,18 +413,29 @@ def run_case(case: dict) -> dict:
             "files": {path: _sha256(Path(path).read_bytes()) for path in case["outputs"]}}
 
 
+def run_here(corpus: dict) -> dict:
+    """Write the inputs into the current directory, then run every case there in order."""
+    write_inputs(corpus["inputs"], Path.cwd())
+    Path("out").mkdir(exist_ok=True)
+    return {case["name"]: run_case(case) for case in corpus["cases"]}
+
+
 def run_corpus(corpus: dict, directory: Path) -> dict:
-    """Digests of every case, run in order inside `directory`."""
-    write_inputs(corpus["inputs"], directory)
-    (directory / "out").mkdir(exist_ok=True)
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        # argparse wraps its usage lines to the terminal width; the corpus pins 80.
-        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-            return {case["name"]: run_case(case) for case in corpus["cases"]}
-    finally:
-        os.chdir(cwd)
+    """Digests of every case, run in order inside `directory` by a child interpreter.
+
+    The child imports the holoqsim that this process imports, and runs with
+    CHILD_ENVIRONMENT: BLAS on one thread and 80 terminal columns.  It also
+    writes the inputs, whose normalization calls BLAS too.
+    """
+    import holoqsim
+
+    src = Path(holoqsim.__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "-c", CHILD, str(src), str(HERE)],
+                           input=json.dumps(corpus), capture_output=True, text=True,
+                           cwd=directory, env={**os.environ, **CHILD_ENVIRONMENT})
+    if child.returncode:
+        raise RuntimeError(f"the corpus child exited {child.returncode}:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 def environment() -> dict:

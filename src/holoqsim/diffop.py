@@ -48,22 +48,22 @@ entries of each column are read into a table, once per kind and once per
 CU gate, and each output label is the input label sliced around the
 gate's one or two positions, so a gate costs a few operations per stored
 term and row, whatever N is.  A vector form's 2^N array is contracted
-with the block as a [2]*N tensor.  `run_circuit_holo` keeps a state in
-the map form until its term count reaches a measured crossover, in the
-vector form from then on, and returns it in the form it ends in.  The
-map form passes between gates as a plain dict, pruned at ZERO_TOL as
-HoloState prunes, and is checked as a HoloState once per circuit, at the
-dense switch or at the end; `apply_gate` checks it per gate.  That is
-safe because every output label is cut from a label that was checked
-and filled with a block table's '0'/'1' characters, and every block was
-checked by `from_poly` when it was derived.  Only the values can go
-wrong, when an unnormalized start overflows, and a non-finite value stays
-non-finite under these blocks, so the one check still refuses it.  The
-full-register path (`gate_operator` on N qubits, `apply_diffop`,
-`apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
-as the cross-check the tests compare against.  H and SWAP always run
-through their substitutions; their operator forms `hadamard_op` and
-`swap_op` are the tests' cross-check of those.
+with the block as a [2]*N tensor.  `run_circuit_holo` holds one working
+value per run: a plain dict, pruned at ZERO_TOL as HoloState prunes,
+until the term count reaches a measured crossover, then one [2]*N
+tensor; a vector start above the crossover is never decoded to a map.
+The dict is checked as a HoloState once per circuit, at the dense switch
+or at the end; `apply_gate` checks it per gate.  That is safe because
+every output label is cut from a checked label and filled with a block
+table's '0'/'1' characters, and every block was checked by `from_poly`
+when it was derived.  Only the values can go wrong, when an unnormalized
+start overflows, and a non-finite value stays non-finite under these
+blocks, so the one check still refuses it.  The full-register path
+(`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
+`to_poly`, `from_poly`) stays as the derivation and as the cross-check
+the tests compare against.  H and SWAP always run through their
+substitutions; their operator forms `hadamard_op` and `swap_op` are the
+tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -560,12 +560,11 @@ def _apply_sparse(columns: ColumnTable, positions: list[int],
     return {k: c for k, c in out.items() if not abs(c) <= ZERO_TOL}  # keeps NaN
 
 
-def _apply_dense(block: GateBlock, positions: list[int], state: HoloState) -> HoloState:
-    """Contract the block with the gate's axes of the [2]*N amplitude tensor."""
-    k, n = len(positions), state.nqubits
-    tensor = np.tensordot(block.reshape((2,) * (2 * k)), state.vector.reshape((2,) * n),
-                          axes=(range(k, 2 * k), positions))
-    return HoloState(n, np.moveaxis(tensor, range(k), positions).reshape(-1))
+def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> np.ndarray:
+    """Contract the block with the gate's axes of a [2]*N tensor; returns a view, unflattened."""
+    k = len(positions)
+    out = np.tensordot(block.reshape((2,) * (2 * k)), tensor, axes=(range(k, 2 * k), positions))
+    return np.moveaxis(out, range(k), positions)
 
 
 def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
@@ -574,47 +573,47 @@ def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     A map-form state goes through the gate's column table term by term; a
     vector-form state is contracted with its block as a [2]*N tensor.
     """
+    n = state.nqubits
     for q in gate.qubits:
-        if q > state.nqubits:
-            raise ValueError(
-                f"gate {gate.kind} on qubit {q} exceeds register size {state.nqubits}")
+        if q > n:
+            raise ValueError(f"gate {gate.kind} on qubit {q} exceeds register size {n}")
     positions = [q - 1 for q in gate.qubits]
     if state.vector is None:
-        amplitudes = _apply_sparse(gate_columns(gate), positions, state.amplitudes)
-        return HoloState(state.nqubits, amplitudes)
-    return _apply_dense(gate_block(gate), positions, state)
+        return HoloState(n, _apply_sparse(gate_columns(gate), positions, state.amplitudes))
+    tensor = _apply_dense(gate_block(gate), positions, state.vector.reshape((2,) * n))
+    return HoloState(n, tensor.reshape(-1))
 
 
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     """Fold a circuit over a state, gate by gate, in the polynomial picture.
 
-    A vector-form start is first pruned to its map.  The state stays in the
-    map form until its term count reaches DENSE_MIN_TERMS + 2^N /
-    DENSE_AMPLITUDES_PER_TERM, then stays in the vector form (never above
-    MAX_DENSE_QUBITS), and is returned in the form it ends in.  The map form
-    passes between gates as a plain dict and is checked as a HoloState once,
-    at the dense switch or at the end, so a non-finite amplitude is refused
-    there rather than at the gate that made it.
+    The run holds one working value: a plain dict until the term count
+    reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
+    [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped in a HoloState at
+    the end.  A vector start at or above that count goes to the tensor
+    through `to_vector`, undecoded; otherwise, or for an empty circuit, its
+    map is used.  The dict is checked once, at the dense switch or at the
+    end, so a non-finite amplitude is refused there, not where it was made.
     """
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
-    if state.vector is not None:
-        state = HoloState(n, state.amplitudes)
-    amps = state.amplitudes  # the checked start; the map form's gates replace it
     dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
                   if fits_dense(n) else math.inf)
+    if state.vector is None or not circuit.gates or len(state._stored()[0]) < dense_from:
+        amps, tensor = state.amplitudes, None  # the checked start; the gates replace it
+    else:
+        amps, tensor = None, state.to_vector().reshape((2,) * n)
     for gate in circuit.gates:  # Circuit has checked every qubit against n
         positions = [q - 1 for q in gate.qubits]
-        if state.vector is None:
+        if tensor is None:
             if len(amps) < dense_from:
                 amps = _apply_sparse(gate_columns(gate), positions, amps)
                 continue
-            if amps is not state.amplitudes:  # a gate has run since the start
-                state = HoloState(n, amps)
-            state = HoloState(n, state.to_vector())
-        state = _apply_dense(gate_block(gate), positions, state)
-    return state if state.vector is not None else HoloState(n, amps)
+            checked = state if amps is state.amplitudes else HoloState(n, amps)
+            tensor = checked.to_vector().reshape((2,) * n)
+        tensor = _apply_dense(gate_block(gate), positions, tensor)
+    return HoloState(n, amps) if tensor is None else HoloState(n, tensor.reshape(-1))
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

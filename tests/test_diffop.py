@@ -595,7 +595,7 @@ def test_sixteen_term_wide_circuit_allocates_no_dense_tensor():
     gates += [GateSpec(kind, (q, q % n + 1)) for kind in ("CNOT", "SWAP", "CZ")
               for q in range(1, n + 1)]
     circ = Circuit(n, tuple(gates))
-    # A one-term start in either form: the vector form goes to the map first.
+    # A one-term start in either form: below the crossover a vector start uses its map.
     for psi in (encode_state({"0" * n: 1.0}), encode_state(np.eye(1, 2 ** n, dtype=complex))):
         tracemalloc.start()
         try:
@@ -740,6 +740,14 @@ def fold_cases():
         cus = tuple(GateSpec("CU", (q, 9 - q), haar_random_unitary(rng)) for q in (1, 2))
         yield (Circuit(8, cus + hs + cus + random_circuit(rng, 8, 30).gates),
                encode_state({"0" * 8: 1.0}))
+    # Vector-form starts below the crossover (8 terms at N = 3, 9 at N = 8), at or above
+    # it, and before an empty circuit; each holds a signed zero and an entry to prune.
+    for n, terms, depth in ((3, 5, 30), (3, 8, 30), (8, 8, 30), (8, 9, 30), (8, 256, 30),
+                            (8, 256, 0)):
+        v = np.zeros(2 ** n, dtype=complex)
+        v[rng.choice(2 ** n, terms, replace=False)] = [1, 1j] @ rng.standard_normal((2, terms))
+        v[np.flatnonzero(v)[:2]] = complex(-0.0, 0.6), complex(1e-15, -0.0)
+        yield random_circuit(rng, n, depth), HoloState(n, v)
 
 
 def test_circuit_run_equals_per_gate_fold_bit_for_bit():
@@ -748,7 +756,21 @@ def test_circuit_run_equals_per_gate_fold_bit_for_bit():
         assert (got.vector is None) == (ref.vector is None)
         assert exact_items(got) == exact_items(ref), circ
     crossed = [run_circuit_holo(c, s).vector is not None for c, s in fold_cases()]
-    assert crossed.count(True) >= 2 and crossed.count(False) >= 10
+    assert crossed.count(True) >= 5 and crossed.count(False) >= 10
+
+
+def test_vector_start_above_the_crossover_is_not_decoded_to_its_map():
+    n = 16
+    psi = HoloState(n, random_state_vector(np.random.default_rng(16), n))
+    circ = Circuit(n, (GateSpec("H", (8,)),))
+    tracemalloc.start()
+    try:
+        out = run_circuit_holo(circ, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.vector is not None
+    assert peak < 4 * 2 ** 20  # the start's label map alone holds ~7.9 MiB
 
 
 def test_circuit_run_refuses_a_non_finite_result_in_either_form():

@@ -68,6 +68,11 @@ OVERLAP_SNAP = 1e-13
 
 SEPARABLE_TOL = 1e-6
 DEFAULT_RESTARTS = 16
+# Most restarts maximize_product_overlap takes, refused before it allocates.
+# At N = 8, 10^4 restarts took 3.5 s (process time, one BLAS thread, random
+# state, ~47 sweeps per restart) and peaked at 23 MiB (tracemalloc), mostly
+# the restart records; a sweep's products grow as 2^N.
+MAX_RESTARTS = 10**4
 MAX_SWEEPS = 500
 GAIN_TOL = 1e-12
 # Bound on restarts x 2^N, the amplitudes a stacked ascent's suffixes hold
@@ -264,6 +269,8 @@ def maximize_product_overlap(psi: HoloState,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"{restarts} restarts exceed MAX_RESTARTS = {MAX_RESTARTS}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

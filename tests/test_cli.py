@@ -565,6 +565,32 @@ def test_entanglement_nonpositive_restarts_exits_2(tmp_path, capsys, restarts):
     assert "restarts" in stderr
 
 
+def test_entanglement_refuses_too_many_restarts_before_allocating(tmp_path, monkeypatch, capsys):
+    def empty(*_, **__):
+        raise AssertionError("maximize_product_overlap started allocating its restarts")
+
+    state = tmp_path / "zero.json"
+    state.write_text(ZERO2)
+    monkeypatch.setattr(holoqsim.geometry.np, "empty", empty)
+    restarts = 10 ** 12
+    assert restarts > holoqsim.geometry.MAX_RESTARTS
+    assert run_cli(capsys, "entanglement", "--state", str(state), "--restarts",
+                   str(restarts)) == (2, "", f"error: {restarts} restarts exceed "
+                                             f"MAX_RESTARTS = {holoqsim.geometry.MAX_RESTARTS}\n")
+
+
+def test_entanglement_takes_up_to_max_restarts(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(holoqsim.geometry, "MAX_RESTARTS", 3)
+    state = tmp_path / "zero.json"
+    state.write_text(ZERO2)
+    out = tmp_path / "ent.json"
+    code, _, _ = run_cli(capsys, "entanglement", "--state", str(state), "--restarts", "3",
+                         "--out", str(out))
+    assert code == 0 and len(json.loads(out.read_text())["restarts"]) == 3
+    assert run_cli(capsys, "entanglement", "--state", str(state), "--restarts", "4") == (
+        2, "", "error: 4 restarts exceed MAX_RESTARTS = 3\n")
+
+
 @pytest.mark.parametrize("seed", ["-1", "-123456789012345678901"])
 def test_entanglement_negative_seed_exits_2(tmp_path, capsys, seed):
     state = tmp_path / "bell.json"

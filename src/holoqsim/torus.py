@@ -35,6 +35,8 @@ GENERATORS = ("X", "Y", "Z")
 # Most steps one fixed-step grid may hold; it is refused before any list is
 # built.  The benchmark's longest flow has 10 000 steps.
 MAX_FLOW_STEPS = 10**7
+# Central-difference steps of poisson_bracket and jacobian_det.
+BRACKET_STEP, JACOBIAN_STEP = 1e-6, 1e-5
 
 
 class SingularityError(ValueError):
@@ -266,13 +268,13 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     return Trajectory(times, phases, sums)
 
 
-def poisson_bracket(f, g, point: tuple[float, float], step: float = 1e-6) -> float:
-    """Central-difference {f, g} = df/da dg/db - df/db dg/da at a pair point.
+def poisson_bracket(f, g, point: tuple[float, float]) -> float:
+    """Central-difference {f, g} = df/da dg/db - df/db dg/da at a pair point, step BRACKET_STEP.
 
     f and g are callables of (phi_a, phi_b); the canonical pair is
     (phi_a, phi_b) itself, so {phi_a, phi_b} = 1.
     """
-    pa, pb = point
+    pa, pb, step = *point, BRACKET_STEP
 
     def d_da(h):
         return (h(pa + step, pb) - h(pa - step, pb)) / (2.0 * step)
@@ -311,8 +313,7 @@ def hadamard_gap(delta: float) -> float:
     return min(circle_distance(delta, 0.0), circle_distance(delta, math.pi))
 
 
-def hadamard_pair_map(pa: float, pb: float,
-                      guard: float = HADAMARD_GUARD) -> tuple[float, float]:
+def hadamard_pair_map(pa: float, pb: float) -> tuple[float, float]:
     """Angle form of the Hadamard on one pair.
 
     With delta = phi_a - phi_b reduced to (-pi, pi] and the half-sum taken
@@ -322,7 +323,7 @@ def hadamard_pair_map(pa: float, pb: float,
         phi_b' = sum/2 + arg(1 - e^(i delta))
 
     The argument terms are undefined where 1 +- e^(i delta) vanishes, so
-    relative phases within `guard` of 0 or pi raise SingularityError.
+    relative phases within HADAMARD_GUARD of 0 or pi raise SingularityError.
 
     Note the geometry this formula actually has: on delta in (0, pi) the
     identities arg(1 + e^(i delta)) = delta/2 and arg(1 - e^(i delta)) =
@@ -331,9 +332,9 @@ def hadamard_pair_map(pa: float, pb: float,
     with singular pair Jacobian.  The locus itself is pointwise fixed.
     """
     delta = signed_angle_diff(pa, pb)
-    if hadamard_gap(delta) <= guard:
-        raise SingularityError(
-            f"relative phase {delta:.6g} is within {guard:g} of the singular set {{0, pi}}")
+    if hadamard_gap(delta) <= HADAMARD_GUARD:
+        raise SingularityError(f"relative phase {delta:.6g} is within {HADAMARD_GUARD:g} "
+                               "of the singular set {0, pi}")
     half_sum = pa - 0.5 * delta
     za = 1.0 + complex(math.cos(delta), math.sin(delta))
     zb = 1.0 - complex(math.cos(delta), math.sin(delta))
@@ -341,11 +342,10 @@ def hadamard_pair_map(pa: float, pb: float,
             wrap_angle(half_sum + math.atan2(zb.imag, zb.real)))
 
 
-def hadamard_torus_map(point: TorusPoint, qubit: int,
-                       guard: float = HADAMARD_GUARD) -> TorusPoint:
+def hadamard_torus_map(point: TorusPoint, qubit: int) -> TorusPoint:
     """Apply the angle-form Hadamard to one qubit pair of a torus point."""
     pa, pb = point.pair(qubit)
-    na, nb = hadamard_pair_map(pa, pb, guard=guard)
+    na, nb = hadamard_pair_map(pa, pb)
     phases = list(point.phases)
     phases[2 * (qubit - 1)] = na
     phases[2 * (qubit - 1) + 1] = nb
@@ -365,15 +365,15 @@ def swap_torus(point: TorusPoint, qubit1: int, qubit2: int) -> TorusPoint:
     return TorusPoint(tuple(phases))
 
 
-def jacobian_det(map2, point: tuple[float, float], step: float = 1e-5) -> float:
-    """Signed Jacobian determinant of a pair map by central differences.
+def jacobian_det(map2, point: tuple[float, float]) -> float:
+    """Signed Jacobian determinant of a pair map by central differences of JACOBIAN_STEP.
 
     map2 maps (phi_a, phi_b) -> (phi_a', phi_b'); output differences are
     unwrapped circularly so a map crossing the 2*pi seam differentiates
     cleanly.  Any SingularityError raised by the map inside the stencil
     propagates to the caller.
     """
-    pa, pb = point
+    pa, pb, step = *point, JACOBIAN_STEP
     qpa = map2(pa + step, pb)
     qma = map2(pa - step, pb)
     qpb = map2(pa, pb + step)
@@ -385,8 +385,7 @@ def jacobian_det(map2, point: tuple[float, float], step: float = 1e-5) -> float:
     return d11 * d22 - d12 * d21
 
 
-def hadamard_jacobian_det(point: TorusPoint, qubit: int,
-                          step: float = 1e-5) -> float:
+def hadamard_jacobian_det(point: TorusPoint, qubit: int) -> float:
     """Jacobian determinant of the angle-form Hadamard on one pair.
 
     Requires the relative phase to sit at least HADAMARD_JACOBIAN_GAP away
@@ -398,4 +397,4 @@ def hadamard_jacobian_det(point: TorusPoint, qubit: int,
             f"relative phase {delta:.6g} is within {HADAMARD_JACOBIAN_GAP:g} "
             "of the singular set; Jacobian evaluation refused")
     pa, pb = point.pair(qubit)
-    return jacobian_det(hadamard_pair_map, (pa, pb), step=step)
+    return jacobian_det(hadamard_pair_map, (pa, pb))

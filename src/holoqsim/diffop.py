@@ -49,21 +49,20 @@ CU gate, and each output label is the input label sliced around the
 gate's one or two positions, so a gate costs a few operations per stored
 term and row, whatever N is.  A vector form's 2^N array is contracted
 with the block as a [2]*N tensor.  `run_circuit_holo` holds one working
-value per run: a plain dict, pruned at ZERO_TOL as HoloState prunes,
-until the term count reaches a measured crossover, then one [2]*N
-tensor; a vector start above the crossover is never decoded to a map.
-The dict is checked as a HoloState once per circuit, at the dense switch
-or at the end; `apply_gate` checks it per gate.  That is safe because
-every output label is cut from a checked label and filled with a block
-table's '0'/'1' characters, and every block was checked by `from_poly`
-when it was derived.  Only the values can go wrong, when an unnormalized
-start overflows, and a non-finite value stays non-finite under these
-blocks, so the one check still refuses it.  The full-register path
-(`gate_operator` on N qubits, `apply_diffop`, `apply_substitution`,
-`to_poly`, `from_poly`) stays as the derivation and as the cross-check
-the tests compare against.  H and SWAP always run through their
-substitutions; their operator forms `hadamard_op` and `swap_op` are the
-tests' cross-check of those.
+value per run: a plain dict until the term count reaches a measured
+crossover, then one [2]*N tensor; a vector start past the crossover is
+never decoded to a map.  The dict is checked as a HoloState once per
+circuit, at the dense switch or at the end; `apply_gate` checks it per
+gate.  That is safe because every output label is cut from a checked
+label and filled with a block table's '0'/'1' characters, and every
+block was checked by `from_poly` when it was derived.  Only the values
+can go wrong, when an unnormalized start overflows, and a non-finite
+value stays non-finite under these blocks, so the one check still
+refuses it.  The full-register path (`gate_operator` on N qubits,
+`apply_diffop`, `apply_substitution`, `to_poly`, `from_poly`) stays as
+the derivation and as the cross-check the tests compare against.  H and
+SWAP always run through their substitutions; their operator forms
+`hadamard_op` and `swap_op` are the tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -574,9 +573,7 @@ def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     vector-form state is contracted with its block as a [2]*N tensor.
     """
     n = state.nqubits
-    for q in gate.qubits:
-        if q > n:
-            raise ValueError(f"gate {gate.kind} on qubit {q} exceeds register size {n}")
+    Circuit(n, (gate,))  # refuses a qubit beyond the register, as a circuit does
     positions = [q - 1 for q in gate.qubits]
     if state.vector is None:
         return HoloState(n, _apply_sparse(gate_columns(gate), positions, state.amplitudes))
@@ -589,18 +586,18 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
 
     The run holds one working value: a plain dict until the term count
     reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
-    [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped in a HoloState at
-    the end.  A vector start at or above that count goes to the tensor
-    through `to_vector`, undecoded; otherwise, or for an empty circuit, its
-    map is used.  The dict is checked once, at the dense switch or at the
-    end, so a non-finite amplitude is refused there, not where it was made.
+    [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped at the end.  A
+    vector start at that count runs undecoded, through `to_vector`, when a
+    gate follows; other starts run from their map.  The dict is checked
+    once, at the dense switch or the end, not at the gate that made it.
     """
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
     dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
                   if fits_dense(n) else math.inf)
-    if state.vector is None or not circuit.gates or len(state._stored()[0]) < dense_from:
+    stored = len(state.amplitudes) if state.vector is None else len(state._stored()[0])
+    if not circuit.gates or stored < dense_from:
         amps, tensor = state.amplitudes, None  # the checked start; the gates replace it
     else:
         amps, tensor = None, state.to_vector().reshape((2,) * n)
@@ -610,8 +607,7 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
             if len(amps) < dense_from:
                 amps = _apply_sparse(gate_columns(gate), positions, amps)
                 continue
-            checked = state if amps is state.amplitudes else HoloState(n, amps)
-            tensor = checked.to_vector().reshape((2,) * n)
+            tensor = HoloState(n, amps).to_vector().reshape((2,) * n)
         tensor = _apply_dense(gate_block(gate), positions, tensor)
     return HoloState(n, amps) if tensor is None else HoloState(n, tensor.reshape(-1))
 

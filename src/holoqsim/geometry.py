@@ -68,10 +68,9 @@ OVERLAP_SNAP = 1e-13
 
 SEPARABLE_TOL = 1e-6
 DEFAULT_RESTARTS = 16
-# Most restarts maximize_product_overlap takes, refused before it allocates.
-# At N = 8, 10^4 restarts took 3.5 s (process time, one BLAS thread, random
-# state, ~47 sweeps per restart) and peaked at 23 MiB (tracemalloc), mostly
-# the restart records; a sweep's products grow as 2^N.
+# Most restarts maximize_product_overlap takes, refused before it allocates:
+# at N = 8, 10^4 restarts (~47 sweeps each, random state) took 3.5 s of process
+# time on one BLAS thread and peaked at 23 MiB (tracemalloc), mostly records.
 MAX_RESTARTS = 10**4
 MAX_SWEEPS = 500
 GAIN_TOL = 1e-12

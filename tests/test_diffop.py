@@ -740,14 +740,19 @@ def fold_cases():
         cus = tuple(GateSpec("CU", (q, 9 - q), haar_random_unitary(rng)) for q in (1, 2))
         yield (Circuit(8, cus + hs + cus + random_circuit(rng, 8, 30).gates),
                encode_state({"0" * 8: 1.0}))
-    # Vector-form starts below the crossover (8 terms at N = 3, 9 at N = 8), at or above
-    # it, and before an empty circuit; each holds a signed zero and an entry to prune.
+    # Vector-form starts below the crossover (8 terms at N = 3, 9 at N = 8), at it, above
+    # it, and before an empty circuit: each with a signed zero, and an entry to prune
+    # where one fits, so that the start holds one more nonzero entry than stored terms.
     for n, terms, depth in ((3, 5, 30), (3, 8, 30), (8, 8, 30), (8, 9, 30), (8, 256, 30),
                             (8, 256, 0)):
         v = np.zeros(2 ** n, dtype=complex)
         v[rng.choice(2 ** n, terms, replace=False)] = [1, 1j] @ rng.standard_normal((2, terms))
-        v[np.flatnonzero(v)[:2]] = complex(-0.0, 0.6), complex(1e-15, -0.0)
+        v[np.flatnonzero(v)[0]] = complex(-0.0, 0.6)
+        v[np.flatnonzero(v == 0)[:1]] = complex(1e-15, -0.0)
         yield random_circuit(rng, n, depth), HoloState(n, v)
+        if (n, terms) == (8, 8):  # kinds that keep 8 stored terms: the run stays a map
+            keep = ("X", "Y", "Z", "SWAP", "CNOT", "CZ")
+            yield random_circuit(rng, n, 12, keep), HoloState(n, v)
 
 
 def test_circuit_run_equals_per_gate_fold_bit_for_bit():

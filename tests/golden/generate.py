@@ -19,8 +19,8 @@ can move with either.  They can also follow BLAS's thread count (the
 2^14-amplitude input of `diff s14_full c14_all` is normalized by a BLAS
 dot product), so the inputs are written and the cases run in a child
 interpreter with BLAS pinned to one thread, as bench/run.py pins it,
-whatever the caller's environment.  Rewriting `digests.json` is a change to a check: say so,
-and name every case whose digest moved and why.
+whatever the caller's environment.  Rewriting `digests.json` is a change
+to a check: say so, and name every case whose digest moved and why.
 """
 
 from __future__ import annotations

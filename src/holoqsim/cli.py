@@ -177,22 +177,20 @@ def cmd_portrait(args) -> int:
     if args.t_final <= 0:
         raise CliError("--t-final must be > 0")
     spec = FlowSpec(generator, 1, args.t_final, args.dt)
+    starts = [(sigma0, delta0, TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0))))
+              for sigma0 in offsets for delta0 in deltas]  # all checked before any file is written
     os.makedirs(args.out_dir, exist_ok=True)
     entries = []
-    idx = 0
-    for sigma0 in offsets:
-        for delta0 in deltas:
-            start = TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0)))
-            traj = integrate_flow(spec, start)
-            fname = f"portrait_{generator.lower()}_{idx:02d}.csv"
-            save_trajectory(os.path.join(args.out_dir, fname), traj)
-            entries.append({
-                "file": fname,
-                "sigma0": sigma0,
-                "delta0": delta0,
-                "sum_drift": traj.sum_drift(1),
-            })
-            idx += 1
+    for idx, (sigma0, delta0, start) in enumerate(starts):
+        traj = integrate_flow(spec, start)
+        fname = f"portrait_{generator.lower()}_{idx:02d}.csv"
+        save_trajectory(os.path.join(args.out_dir, fname), traj)
+        entries.append({
+            "file": fname,
+            "sigma0": sigma0,
+            "delta0": delta0,
+            "sum_drift": traj.sum_drift(1),
+        })
     index = {
         "generator": generator,
         "dt": args.dt,
@@ -201,7 +199,7 @@ def cmd_portrait(args) -> int:
     }
     index_path = os.path.join(args.out_dir, f"portrait_{generator.lower()}_index.json")
     atomic_write_text(index_path, dump_json_text(index))
-    print(f"wrote {idx} trajectories and {index_path}")
+    print(f"wrote {len(entries)} trajectories and {index_path}")
     return EXIT_OK
 
 

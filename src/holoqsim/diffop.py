@@ -587,20 +587,21 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     The run holds one working value: a plain dict until the term count
     reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
     [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped at the end.  A
-    vector start at that count runs undecoded, through `to_vector`, when a
-    gate follows; other starts run from their map.  The dict is checked
-    once, at the dense switch or the end, not at the gate that made it.
+    vector start at that count is contracted as it is when a gate follows;
+    other starts run from their map.  The working value is checked once, at
+    the dense switch or the end, not at the gate that made it.
     """
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
     dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
                   if fits_dense(n) else math.inf)
-    stored = len(state.amplitudes) if state.vector is None else len(state._stored()[0])
+    stored = len(state.amplitudes) if state.vector is None else np.count_nonzero(state.vector)
     if not circuit.gates or stored < dense_from:
         amps, tensor = state.amplitudes, None  # the checked start; the gates replace it
     else:
-        amps, tensor = None, state.to_vector().reshape((2,) * n)
+        start = state.to_vector() if state.vector is None else state.vector
+        amps, tensor = None, start.reshape((2,) * n)
     for gate in circuit.gates:  # Circuit has checked every qubit against n
         positions = [q - 1 for q in gate.qubits]
         if tensor is None:

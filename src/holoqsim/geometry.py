@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holostate import NORM_TOL, ZERO_TOL, HoloState, encode_state, norm_rows, vdot_rows
+from .holostate import NORM_TOL, HoloState, encode_state, norm_rows, prune_amplitudes, vdot_rows
 
 # Below this gap from overlap 1, arccos amplifies one ulp of rounding to
 # ~1.5e-8, so overlaps this close to 1 are snapped before taking arccos.
@@ -135,7 +135,7 @@ class ProductState:
             if v.shape != (2,):
                 raise ValueError(f"factor {k} is not a 2-vector")
             nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:  # refuses NaN too
                 raise ValueError(f"factor {k} is not normalized (norm {nrm:.6g})")
             fs.append(v)
         object.__setattr__(self, "factors", tuple(fs))
@@ -342,8 +342,8 @@ class StateLoop:
     """Closed discrete loop of normalized states; the last row repeats the first.
 
     `vectors` is one (M+1, 2^N) complex array whose row k is the flat
-    big-endian amplitude vector of state k.  As for HoloState, non-finite
-    amplitudes raise and those at or below ZERO_TOL are zeroed.
+    big-endian amplitude vector of state k, checked and pruned by
+    `prune_amplitudes` as a HoloState vector is.
     """
 
     vectors: np.ndarray
@@ -353,12 +353,7 @@ class StateLoop:
         if v.ndim != 2 or v.shape[1] < 2 or v.shape[1] & (v.shape[1] - 1):
             raise ValueError(
                 f"loop vectors must form an (M+1, 2^N) array, got shape {v.shape}")
-        bad = np.argwhere(~np.isfinite(v))
-        if bad.size:
-            k, col = bad[0]
-            bits = format(col, f"0{v.shape[1].bit_length() - 1}b")
-            raise ValueError(f"amplitude of {bits!r} is not finite: {complex(v[k, col])}")
-        v = np.where(np.abs(v) > ZERO_TOL, v, 0j)
+        v = prune_amplitudes(v)
         object.__setattr__(self, "vectors", v)
         if len(v) < MIN_LOOP_SAMPLES + 1:
             raise ValueError(
@@ -386,16 +381,18 @@ def berry_holonomy(loop: StateLoop) -> float:
 
     The stored closing duplicate is dropped and the product closed
     cyclically back to the first state, which is what makes per-state
-    gauge changes cancel exactly.  All consecutive overlaps come from one
-    contraction; their phases are multiplied in loop order.  Consecutive
-    overlaps too close to zero mean the discretization is too coarse to
-    define the phase; those raise.
+    gauge changes cancel exactly.  The consecutive overlaps come from one
+    contraction, the closing one from row M-1 and row 0; their phases are
+    multiplied in loop order.  Consecutive overlaps too close to zero mean
+    the discretization is too coarse to define the phase; those raise.
     Returned phase lies in (-pi, pi]; near the branch point +-pi the sign
     is a coin toss of rounding, so compare holonomies circularly.
     """
-    vecs = loop.vectors[:-1]
+    v = loop.vectors
+    olaps = vdot_rows(v[:-1], v[1:])
+    olaps[-1] = vdot_rows(v[-2], v[0])  # closes on row 0, not on its stored duplicate
     phase = 1.0 + 0j
-    for k, olap in enumerate(vdot_rows(vecs, np.roll(vecs, -1, axis=0)).tolist()):
+    for k, olap in enumerate(olaps.tolist()):
         mag = abs(olap)
         if mag <= LOOP_OVERLAP_FLOOR:
             raise ValueError(

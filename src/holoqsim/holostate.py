@@ -252,14 +252,29 @@ class SparsePoly(TermMap):
         return max(abs(self.terms.get(e, 0j) - other.terms.get(e, 0j)) for e in keys)
 
 
+def prune_amplitudes(v: np.ndarray) -> np.ndarray:
+    """A copy of a complex 2^N vector, or a stack of them, with entries <= ZERO_TOL set to 0j.
+
+    The dense form of HoloState's rule for its map: a non-finite entry raises
+    ValueError naming the label of the first one in row order.
+    """
+    finite = np.isfinite(v)
+    if not finite.all():
+        k = int(np.argmin(finite))  # flat index of the first non-finite entry
+        bits = format(k % v.shape[-1], f"0{v.shape[-1].bit_length() - 1}b")
+        raise ValueError(f"amplitude of {bits!r} is not finite: {complex(v.flat[k])}")
+    return np.where(np.abs(v) > ZERO_TOL, v, 0j)
+
+
 class HoloState:
     """An N-qubit state, the decoded form of a physical polynomial: a map or a vector.
 
     The map is bit string -> amplitude, checked and pruned at ZERO_TOL on
-    construction.  A vector form keeps a complex 2^N array, index = bit string
-    as binary, read-only and not copied, in `vector` (None for a map).  Both
-    forms read the same, through `amplitudes`: the entries above ZERO_TOL.  A
-    vector's map and finiteness check, and `is_normalized`, are cached on first use.
+    construction.  A vector form keeps `prune_amplitudes` of a complex 2^N
+    array, index = bit string as binary, as its own read-only copy in `vector`
+    (None for a map); the caller's array is left as it was.  Both forms read
+    the same, through `amplitudes`.  A vector's map and `is_normalized` are
+    cached on first use.
     """
 
     __slots__ = ("nqubits", "vector", "_amplitudes", "_is_normalized")
@@ -271,8 +286,8 @@ class HoloState:
         if isinstance(amplitudes, np.ndarray):
             if amplitudes.shape != (2 ** nqubits,) or amplitudes.dtype != complex:
                 raise ValueError(f"{nqubits}-qubit vector must be complex of length {2 ** nqubits}")
-            amplitudes.flags.writeable = False
-            self.vector, self._amplitudes = amplitudes, None
+            self.vector, self._amplitudes = prune_amplitudes(amplitudes), None
+            self.vector.flags.writeable = False
             return
         clean: dict[str, complex] = {}
         for bits, amp in amplitudes.items():
@@ -288,31 +303,12 @@ class HoloState:
 
     @property
     def amplitudes(self) -> dict[str, complex]:
-        """Bit string -> amplitude; a non-finite vector entry raises ValueError naming its label."""
+        """Bit string -> amplitude, in index order for a vector form."""
         if self._amplitudes is None:
-            n, (index, values) = self.nqubits, self._stored()
+            n, index = self.nqubits, np.flatnonzero(self.vector)
             self._amplitudes = {format(k, f"0{n}b"): c for k, c in
-                                zip(index.tolist(), values.tolist())}
+                                zip(index.tolist(), self.vector[index].tolist())}
         return self._amplitudes
-
-    def _stored(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and values of the vector's entries above ZERO_TOL, in index order.
-
-        A non-finite entry raises ValueError naming its label.  flatnonzero
-        keeps NaN and inf, and allocates per term only.
-        """
-        index = np.flatnonzero(self.vector)
-        values = self.vector[index]
-        self._refuse_non_finite(index[~np.isfinite(values)])
-        kept = np.abs(values) > ZERO_TOL
-        return index[kept], values[kept]
-
-    def _refuse_non_finite(self, bad: np.ndarray) -> None:
-        """Raise ValueError naming the first of these vector indices, if any."""
-        if bad.size:
-            c = complex(self.vector[bad[0]])
-            raise ValueError(
-                f"amplitude of {format(bad[0], f'0{self.nqubits}b')!r} is not finite: {c}")
 
     @property
     def is_normalized(self) -> bool:
@@ -324,30 +320,28 @@ class HoloState:
     def norm(self) -> float:
         """2-norm of the amplitudes; inf when a square overflows a float.
 
-        A vector form sums its stored entries in the map's order, without building the map.
+        A vector form sums its nonzero entries in the map's order, without building the map.
         """
-        amps = self._amplitudes
-        values = self._stored()[1].tolist() if amps is None else amps.values()
+        amps, v = self._amplitudes, self.vector
+        values = v[np.flatnonzero(v)].tolist() if amps is None else amps.values()
         try:
             return math.sqrt(sum(abs(c) ** 2 for c in values))
         except OverflowError:
             return math.inf
 
     def to_vector(self) -> np.ndarray:
-        """Flat amplitude vector of length 2^N, index = bit string as binary.
+        """Flat amplitude vector of length 2^N, index = bit string as binary; a writable copy.
 
         Raises ValueError above MAX_DENSE_QUBITS.  This is where a dense
         `diff` and `entanglement` allocate 2^N amplitudes (a sparse `diff`
         never calls it).  A dense `diff` holds about five such vectors of
         16 * 2^N bytes at once (tracemalloc at N = 16: the engine's result,
         and the oracle's input, buffer and H contraction), so 24 qubits peak
-        near 1.25 GiB and each qubit more doubles it.  A vector form is
-        pruned as its map would be, without building the map.
+        near 1.25 GiB and each qubit more doubles it.
         """
         require_dense(self.nqubits)
         if self.vector is not None:
-            self._refuse_non_finite(np.flatnonzero(~np.isfinite(self.vector)))
-            return np.where(np.abs(self.vector) > ZERO_TOL, self.vector, 0j)
+            return self.vector.copy()
         v = np.zeros(2 ** self.nqubits, dtype=complex)
         for bits, amp in self.amplitudes.items():
             v[int(bits, 2)] = amp
@@ -385,21 +379,18 @@ def encode_basis(bits: str) -> SparsePoly:
 
 def encode_state(amplitudes: np.ndarray | list | dict[str, complex],
                  nqubits: int | None = None) -> HoloState:
-    """Build a HoloState from a flat big-endian amplitude vector (copied) or a dict."""
+    """Build a HoloState from a flat big-endian amplitude vector or a dict."""
     if isinstance(amplitudes, dict):
         if nqubits is None:
             if not amplitudes:
                 raise ValueError("cannot infer qubit count from an empty dict")
             nqubits = len(next(iter(amplitudes)))
         return HoloState(nqubits, amplitudes)
-    v = np.array(amplitudes, dtype=complex).ravel()  # a copy, which the state keeps
+    v = np.asarray(amplitudes, dtype=complex).ravel()
     n = int(round(math.log2(v.size))) if v.size else 0
     if v.size < 2 or 2 ** n != v.size:
         raise ValueError(f"amplitude vector length {v.size} is not a power of two >= 2")
-    state = HoloState(n, v)
-    if not np.isfinite(v).all():
-        state.amplitudes  # raises, naming the first non-finite label
-    return state
+    return HoloState(n, v)
 
 
 def to_poly(state: HoloState) -> SparsePoly:

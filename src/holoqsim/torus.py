@@ -97,8 +97,12 @@ class TorusPoint:
     def __post_init__(self):
         if not self.phases or len(self.phases) % 2:
             raise ValueError("phases must hold an (a, b) pair per qubit")
-        object.__setattr__(self, "phases",
-                           tuple(wrap_angle(float(p)) for p in self.phases))
+        phases = tuple(map(float, self.phases))
+        for k, p in enumerate(phases):
+            if not math.isfinite(p):
+                raise ValueError(f"torus phase phi_{'ab'[k % 2]} of qubit {k // 2 + 1} "
+                                 f"is not finite: {p}")
+        object.__setattr__(self, "phases", tuple(map(wrap_angle, phases)))
 
     @property
     def nqubits(self) -> int:

@@ -391,6 +391,17 @@ def test_portrait_bad_generator_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("offsets", ["1e308", "0,1e308"])
+def test_portrait_start_with_an_infinite_phase_exits_2(tmp_path, capsys, offsets):
+    out = tmp_path / "p"
+    code, stdout, stderr = run_cli(capsys, "portrait", "--generator", "X", "--out-dir", str(out),
+                                   "--offsets", offsets, "--deltas", "1e308")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: torus phase phi_a of qubit 1 is not finite: inf\n"
+    assert not out.exists()  # no start's file is written before every start is checked
+
+
 @pytest.mark.parametrize("command, flag", [
     ("portrait", "--t-final"), ("classical-evolve", "--t-final"),
     ("portrait", "--dt"), ("classical-evolve", "--dt"),

@@ -787,11 +787,20 @@ def test_circuit_run_refuses_a_non_finite_result_in_either_form():
     for gates in [(h1,), (h1, h1), (h1,) + spread, (h1,) + spread + (GateSpec("X", (2,)),)]:
         with pytest.raises(ValueError, match="not finite"):
             run_circuit_holo(Circuit(n, gates), start)
-    # The X after the switch runs dense, and a vector form is read lazily, so only the
-    # check at the switch can refuse that run.  Sums below the overflow stay finite.
+    # The X after the switch runs dense and makes no new sum, so the check at the switch
+    # refuses that run before the end's check could.  Sums below the overflow stay finite.
     large = Circuit(n, (h1,) * 2)
     finite = HoloState(n, {"000": 1e308, "100": 1e308})
     assert exact_items(run_circuit_holo(large, finite)) == exact_items(per_gate_fold(large, finite))
+
+
+def test_circuit_run_refuses_a_result_that_overflows_after_the_dense_switch():
+    """The run checks its dense result itself, not only when its amplitudes are read."""
+    start = HoloState(3, {"000": 1.5e308, "001": 1.5e308})
+    gates = tuple(GateSpec("H", (q,)) for q in (1, 2, 1, 2, 3))  # the switch, then H3 overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"amplitude of '000' is not finite: \(inf\+nanj\)"):
+        run_circuit_holo(Circuit(3, gates), start)
 
 
 def test_cached_column_tables_are_read_only():

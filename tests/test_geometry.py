@@ -105,6 +105,12 @@ def test_product_state_rejects_unnormalized_factor():
         ProductState((np.array([1.0, 1.0]),))
 
 
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf")])
+def test_product_state_rejects_a_non_finite_factor(bad, shown):
+    with pytest.raises(ValueError, match=rf"^factor 2 is not normalized \(norm {shown}\)$"):
+        ProductState((np.array([1.0, 0.0]), np.array([bad, 0.0])))
+
+
 # -- entanglement measure ---------------------------------------------
 
 
@@ -515,6 +521,31 @@ def test_bloch_circle_loop_is_bitwise_the_per_row_formula(theta, segments):
     rows = [(c, s * cmath.exp(1j * (2.0 * PI * k / segments))) for k in range(segments)]
     expected = StateLoop(np.array(rows + [(c, s)], dtype=complex)).vectors
     assert bloch_circle_loop(theta, segments).vectors.tobytes() == expected.tobytes()
+
+
+def _closed_vdot_holonomy(rows: np.ndarray) -> float:
+    """-arg of the product of np.vdot overlaps in loop order, closed on row 0."""
+    m = len(rows) - 1
+    phase = 1.0 + 0j
+    for k in range(m):
+        olap = complex(np.vdot(rows[k], rows[(k + 1) % m]))
+        phase *= olap / abs(olap)
+    return -cmath.phase(phase)
+
+
+def test_holonomy_closes_on_the_first_row_not_its_stored_duplicate():
+    loop = bloch_circle_loop(1.0, 10 ** 5)
+    assert berry_holonomy(loop).hex() == _closed_vdot_holonomy(loop.vectors).hex()
+    rng = np.random.default_rng(19)
+    for n in (1, 3):
+        v = random_state_vector(rng, n)
+        rows = [v]
+        for _ in range(40):
+            w = rows[-1] + 0.2 * random_state_vector(rng, n)
+            rows.append(w / np.linalg.norm(w))
+        rows.append(v * cmath.exp(0.7j))  # the duplicate differs from row 0 by a phase
+        loop = StateLoop(np.array(rows))
+        assert berry_holonomy(loop).hex() == _closed_vdot_holonomy(loop.vectors).hex()
 
 
 def test_holonomy_small_theta_small_phase():

@@ -244,11 +244,13 @@ def test_vector_norm_holds_no_label_map():
 def test_vector_form_with_nan_is_refused_naming_its_label():
     v = np.zeros(4, dtype=complex)
     v[[0, 2, 3]] = [1.0, complex(math.nan, 0.0), math.inf]
-    state = HoloState(2, v)  # wrapping reads no entry
-    for read in (lambda: state.amplitudes, state.to_vector, state.norm,
-                 lambda: state.is_normalized, lambda: state == state, lambda: state_text(state)):
-        with pytest.raises(ValueError, match=r"amplitude of '10' is not finite: \(nan\+0j\)"):
-            read()
+    with pytest.raises(ValueError) as by_map:
+        HoloState(2, {format(k, "02b"): c for k, c in enumerate(v.tolist())})
+    assert str(by_map.value) == r"amplitude of '10' is not finite: (nan+0j)"
+    for build in (lambda: HoloState(2, v), lambda: encode_state(v)):  # refused when built
+        with pytest.raises(ValueError) as by_vector:
+            build()
+        assert str(by_vector.value) == str(by_map.value)
 
 
 def test_to_vector_of_a_vector_form_prunes_it_without_building_the_map():
@@ -256,27 +258,33 @@ def test_to_vector_of_a_vector_form_prunes_it_without_building_the_map():
     v[[1, 2, 3, 4]] = [1e-15, complex(-0.0, -1e-16), -0.0, complex(-1e-14, 0.0)]  # pruned
     v[[6, 7]] = [complex(0.5, -0.0), complex(-0.0, -0.25)]  # signed zeros kept
     entries = {format(k, "05b"): c for k, c in enumerate(v.tolist())}
-    state = HoloState(5, v.copy())
+    given = v.tobytes()
+    state = HoloState(5, v)
     out = state.to_vector()
     assert out.tobytes() == HoloState(5, entries).to_vector().tobytes()
     assert state._amplitudes is None and out.flags.writeable
+    assert v.tobytes() == given and v.flags.writeable  # the caller's array is left alone
+    out[0] = 7.0
+    assert state.to_vector().tobytes() == HoloState(5, entries).to_vector().tobytes()
     v[[9, 12]] = [complex(0.0, math.nan), math.inf]
-    state = HoloState(5, v.copy())
     with pytest.raises(ValueError) as by_map:
         HoloState(5, {format(k, "05b"): c for k, c in enumerate(v.tolist())})
     with pytest.raises(ValueError, match=r"amplitude of '01001' is not finite") as by_vector:
-        state.to_vector()
-    assert str(by_vector.value) == str(by_map.value) and state._amplitudes is None
+        HoloState(5, v)
+    assert str(by_vector.value) == str(by_map.value)
 
 
 def test_vector_form_keeps_a_read_only_vector_of_its_register():
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    assert HoloState(2, v).vector is v and not v.flags.writeable
+    state = HoloState(2, v)
+    assert state.vector is not v and not state.vector.flags.writeable and v.flags.writeable
+    v[:] = [0.0, 1.0, 0.0, 0.0]  # the state keeps its own copy
+    assert state.amplitudes == {"00": 1.0 + 0j}
     for bad in (np.zeros(8, dtype=complex), np.zeros(4)):
         with pytest.raises(ValueError, match="2-qubit vector must be complex of length 4"):
             HoloState(2, bad)
     w = np.array([0.0, 1.0])
-    psi = encode_state(w)  # a copy: the caller's array stays writable and apart
+    psi = encode_state(w)  # the caller's array stays writable and apart
     w[0] = 1.0
     assert psi.amplitudes == {"1": 1.0 + 0j} and w.flags.writeable
 

@@ -125,6 +125,16 @@ def test_vector_field_rejects_bad_inputs():
         vector_field("X", TorusPoint((0.0, 0.0)), 2)
 
 
+@pytest.mark.parametrize("phases, message", [
+    ((math.nan, 0.0), "torus phase phi_a of qubit 1 is not finite: nan"),
+    ((0.0, 1.0, 2.0, -math.inf), "torus phase phi_b of qubit 2 is not finite: -inf"),
+])
+def test_torus_point_refuses_a_non_finite_phase_naming_it(phases, message):
+    with pytest.raises(ValueError) as refused:
+        TorusPoint(phases)
+    assert str(refused.value) == message
+
+
 # -- integration ------------------------------------------------------
 
 

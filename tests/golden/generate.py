@@ -312,6 +312,18 @@ def build_cases() -> dict:
                                "--t-final", "0.3", "--dt", "0.1", *grid],
                       "outputs": [f"{out_dir}/{prefix}_{k:02d}.csv" for k in range(count)]
                       + [f"{out_dir}/{prefix}_index.json"]})
+    # Longer flows from both fixed lines of each generator, from -0.0 phases
+    # and past the 2*pi seam, over 200 full steps and a shorter last one.
+    for generator, deltas in [("X", "-1.5707963267948966,0.7,1.5707963267948966"),
+                              ("Y", "-0.0,0,1,3.141592653589793")]:
+        out_dir, prefix = f"out/portrait_{generator.lower()}_long", f"portrait_{generator.lower()}"
+        count = 3 * len(deltas.split(","))
+        cases.append({"name": f"portrait {generator} long",
+                      "argv": ["portrait", "--generator", generator, "--out-dir", out_dir,
+                               "--t-final", "2.005", "--dt", "0.01",
+                               "--offsets=-0.0,0,3.14159", f"--deltas={deltas}"],
+                      "outputs": [f"{out_dir}/{prefix}_{k:02d}.csv" for k in range(count)]
+                      + [f"{out_dir}/{prefix}_index.json"]})
     for name, extra in [("y", ["--generator", "Y", "--t-final", "1", "--dt", "0.1"]),
                         ("z", ["--generator", "Z", "--t-final", "0.25", "--dt", "0.05",
                                "--z0", "0.6,0,0,0.8"]),

@@ -303,9 +303,7 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     for j in range(1, n + 1):
         cols += [f"phi_a_{j}", f"phi_b_{j}"]
     cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
-    rows = ((t, *phases, *sums) for t, phases, sums in zip(
-        traj.times.tolist(), traj.phases.tolist(), traj.sum_phases.tolist()))
-    return csv_text(cols, rows)
+    return csv_text(cols, np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist())
 
 
 def save_trajectory(path: str, traj: Trajectory) -> None:

@@ -19,6 +19,11 @@ raw angles (math.cos(pi/2) is 6.1e-17, not 0).
 Integration is fixed-step RK4 on unwrapped angles; wrapping into
 [0, 2*pi) happens only when samples are recorded, so winding is never
 clipped mid-step and the conserved sum is tracked on the covering space.
+Every field is (c, -c), so a step evaluates c alone and moves the pair by
+(+inc, -inc), bitwise as the two-sided step would.  A step is a function
+of its input pair and its size only, so once a step returns its pair
+bitwise (a fixed line, where the field is an exact zero) the pair is
+repeated over the later steps of that size, not re-integrated.
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ def wrap_angle(x: float) -> float:
     if y < 0.0:
         y += TWO_PI
     return 0.0 if y == TWO_PI else y
+
+
+def wrap_angles(x: np.ndarray) -> np.ndarray:
+    """wrap_angle of every entry, bitwise: fmod is exact, then the same two fixes."""
+    y = np.fmod(x, TWO_PI)
+    y = np.where(y < 0.0, y + TWO_PI, y)
+    return np.where(y == TWO_PI, 0.0, y)
 
 
 def signed_angle_diff(x: float, y: float) -> float:
@@ -133,17 +145,20 @@ class TorusPoint:
         return max(circle_distance(p, q) for p, q in zip(self.phases, other.phases))
 
 
+def _z_field(delta: float) -> float:
+    return -1.0
+
+
+# dphi_a/dt of each generator as a function of delta; dphi_b/dt is its negation.
+PAIR_FIELDS = {"X": reduced_cos, "Y": reduced_sin, "Z": _z_field}
+
+
 def pair_field(generator: str, delta: float) -> tuple[float, float]:
     """(dphi_a/dt, dphi_b/dt) of one qubit pair as a function of its delta."""
-    if generator == "Z":
-        return -1.0, 1.0
-    if generator == "X":
-        c = reduced_cos(delta)
-        return c, -c
-    if generator == "Y":
-        s = reduced_sin(delta)
-        return s, -s
-    raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
+    if generator not in PAIR_FIELDS:
+        raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
+    c = PAIR_FIELDS[generator](delta)
+    return c, -c
 
 
 def vector_field(generator: str, point: TorusPoint, qubit: int) -> tuple[float, float]:
@@ -238,37 +253,57 @@ class Trajectory:
         return float(np.max(np.abs(col - col[0])))
 
 
-def _rk4_step(generator: str, pa: float, pb: float, dt: float) -> tuple[float, float]:
-    k1a, k1b = pair_field(generator, pa - pb)
-    k2a, k2b = pair_field(generator, (pa + 0.5 * dt * k1a) - (pb + 0.5 * dt * k1b))
-    k3a, k3b = pair_field(generator, (pa + 0.5 * dt * k2a) - (pb + 0.5 * dt * k2b))
-    k4a, k4b = pair_field(generator, (pa + dt * k3a) - (pb + dt * k3b))
-    return (pa + dt * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
-            pb + dt * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
-
-
 def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     """Fixed-step RK4 flow of one qubit pair; all other pairs stay put.
 
     Steps of size dt are taken until t_final, with one shorter final step
     when dt does not divide t_final; the sample at index k sits at k*dt.
     Integration state is unwrapped, samples are wrapped on recording.
+    A step that returns its input pair bitwise would return it again, so
+    the pair is repeated over the later steps of the same size.
     """
     start._check(spec.qubit)
     times, steps = fixed_steps(spec.t_final, spec.dt)
+    field = PAIR_FIELDS[spec.generator]
     ja = 2 * (spec.qubit - 1)
     pa, pb = start.phases[ja], start.phases[ja + 1]
 
-    pairs = [(pa, pb)]
-    for step in steps:
-        pa, pb = _rk4_step(spec.generator, pa, pb, step)
-        pairs.append((pa, pb))
+    # The a-side of the two-sided RK4 step: each b-side stage is the negation
+    # of the a-side one, so a stage point is (pa + h) - (pb - h).
+    pas, pbs = [pa], [pb]
+    i, n = 0, len(steps)
+    while i < n:
+        step = steps[i]
+        half = 0.5 * step
+        k1 = field(pa - pb)
+        h = half * k1
+        k2 = field((pa + h) - (pb - h))
+        h = half * k2
+        k3 = field((pa + h) - (pb - h))
+        h = step * k3
+        k4 = field((pa + h) - (pb - h))
+        inc = step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        na, nb = pa + inc, pb - inc
+        stationary = (na == pa and nb == pb
+                      and math.copysign(1.0, na) == math.copysign(1.0, pa)
+                      and math.copysign(1.0, nb) == math.copysign(1.0, pb))
+        pa, pb = na, nb
+        pas.append(pa)
+        pbs.append(pb)
+        i += 1
+        if stationary:
+            # steps is full steps of dt, then at most one shorter step; every
+            # later step of this size returns the pair again
+            end = n if steps[-1] == step else n - 1
+            pas += [pa] * (end - i)
+            pbs += [pb] * (end - i)
+            i = end
 
-    n = start.nqubits
-    phases = np.tile(start.phases, (len(pairs), 1))
-    phases[:, ja:ja + 2] = [(wrap_angle(a), wrap_angle(b)) for a, b in pairs]
-    sums = np.tile([start.sigma(j) for j in range(1, n + 1)], (len(pairs), 1))
-    sums[:, spec.qubit - 1] = [a + b for a, b in pairs]
+    unwrapped = np.array((pas, pbs))
+    phases = np.tile(start.phases, (len(pas), 1))
+    phases[:, ja:ja + 2] = wrap_angles(unwrapped).T
+    sums = np.tile([start.sigma(j) for j in range(1, start.nqubits + 1)], (len(pas), 1))
+    sums[:, spec.qubit - 1] = np.add(unwrapped[0], unwrapped[1])
     return Trajectory(times, phases, sums)
 
 

@@ -24,6 +24,7 @@ from holoqsim import (
     vector_field,
 )
 from holoqsim.torus import (
+    GENERATORS,
     PAIR_HAMILTONIANS,
     TWO_PI,
     circle_distance,
@@ -211,6 +212,84 @@ def test_partial_final_step_lands_on_t_final():
     traj = integrate_flow(FlowSpec("Z", 1, 0.25, 0.1), TorusPoint((1.0, 2.0)))
     assert traj.times[-1] == pytest.approx(0.25, abs=1e-15)
     assert traj.phases[-1, 0] == pytest.approx(0.75, abs=1e-12)
+
+
+def _rk4_step(generator, pa, pb, dt):
+    """The two-sided scalar RK4 step that integrate_flow must match bitwise."""
+    k1a, k1b = pair_field(generator, pa - pb)
+    k2a, k2b = pair_field(generator, (pa + 0.5 * dt * k1a) - (pb + 0.5 * dt * k1b))
+    k3a, k3b = pair_field(generator, (pa + 0.5 * dt * k2a) - (pb + 0.5 * dt * k2b))
+    k4a, k4b = pair_field(generator, (pa + dt * k3a) - (pb + dt * k3b))
+    return (pa + dt * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
+            pb + dt * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
+
+
+def _reference_samples(spec, start):
+    """Per sample: t, then every wrapped phase, then every pair sum, by the scalar loop."""
+    ja = 2 * (spec.qubit - 1)
+    pa, pb = start.phases[ja], start.phases[ja + 1]
+    times, steps = fixed_steps(spec.t_final, spec.dt)
+    pairs = [(pa, pb)]
+    for step in steps:
+        pa, pb = _rk4_step(spec.generator, pa, pb, step)
+        pairs.append((pa, pb))
+    rows = []
+    for t, (pa, pb) in zip(times, pairs):
+        phases = list(start.phases)
+        phases[ja:ja + 2] = wrap_angle(pa), wrap_angle(pb)
+        sums = [start.sigma(j) for j in range(1, start.nqubits + 1)]
+        sums[spec.qubit - 1] = pa + pb
+        rows.append([t, *phases, *sums])
+    return rows
+
+
+def _hex_rows(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+HALF_PI = PI / 2
+# Starts on the fixed lines of X (delta = +-pi/2) and of Y (delta in {0, pi}),
+# with signed zeros, and off them.  (-0.0, -0.0) moves to (0.0, -0.0) in its
+# first Y step, which is therefore not a repeat; the later ones are.
+FLOW_STARTS = [(HALF_PI, 0.0), (0.0, HALF_PI), (wrap_angle(-HALF_PI), 0.0), (0.0, 0.0),
+               (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (PI, 0.0), (PI, -0.0),
+               (2.356193163397448, 0.7853968366025517), (0.3, 5.9), (1.0, 2.0),
+               (6.2, 0.05)]
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("t_final, dt", [(2.0, 0.01), (2.005, 0.01), (0.37, 0.05)])
+def test_integrate_flow_matches_scalar_rk4_bitwise(generator, t_final, dt):
+    for pa, pb in FLOW_STARTS:
+        for qubit, phases in [(1, (pa, pb)), (2, (0.4, -0.0, pa, pb))]:
+            spec, start = FlowSpec(generator, qubit, t_final, dt), TorusPoint(phases)
+            traj = integrate_flow(spec, start)
+            got = np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist()
+            assert _hex_rows(got) == _hex_rows(_reference_samples(spec, start)), \
+                (generator, qubit, pa, pb)
+
+
+@pytest.mark.parametrize("generator, start, calls", [
+    ("X", (HALF_PI, 0.0), 8),        # one full step, then the remainder
+    ("Y", (-0.0, -0.0), 12),         # -0.0 + 0.0 is 0.0: the second step repeats
+    ("Y", (0.3, 0.0), 4 * 201),      # off the fixed lines every step is taken
+])
+def test_a_stationary_pair_is_repeated_not_reintegrated(monkeypatch, generator, start, calls):
+    field, seen = torus.PAIR_FIELDS[generator], []
+    monkeypatch.setitem(torus.PAIR_FIELDS, generator, lambda d: seen.append(d) or field(d))
+    traj = integrate_flow(FlowSpec(generator, 1, 2.005, 0.01), TorusPoint(start))
+    assert len(seen) == calls
+    assert traj.nsamples == 202
+
+
+def test_wrap_angles_matches_wrap_angle_bitwise():
+    tiny = 5e-324
+    xs = [-1e-17, -0.0, 0.0, TWO_PI, -TWO_PI, 4 * PI + tiny, 4 * PI, -4 * PI - tiny,
+          -0.1, 7.0, 1e6, -1e6, math.nextafter(TWO_PI, 0.0)]
+    assert [x.hex() for x in torus.wrap_angles(np.array(xs)).tolist()] == \
+           [wrap_angle(x).hex() for x in xs]
+    assert torus.wrap_angles(np.array([-1e-17, -0.0, TWO_PI, -TWO_PI])).tolist() == \
+           [0.0, -0.0, 0.0, -0.0]
 
 
 # -- phasor derivation cross-check ------------------------------------

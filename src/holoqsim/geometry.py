@@ -409,6 +409,8 @@ def bloch_circle_loop(theta: float, segments: int) -> StateLoop:
     grid azimuths; the closing entry reuses the first state's amplitudes
     exactly.  The smooth loop's geometric phase is -pi(1 - cos theta).
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite angle, got {theta!r}")
     if segments < MIN_LOOP_SAMPLES:
         raise ValueError(f"need at least {MIN_LOOP_SAMPLES} segments")
     if segments > MAX_LOOP_SEGMENTS:

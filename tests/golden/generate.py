@@ -400,6 +400,8 @@ def build_cases() -> dict:
                 text(f"in/bad_loop_{name}.json", body))
     refused("holonomy theta samples past the limit", "holonomy", "--theta", "1",
             "--samples", "1000001")
+    refused("holonomy theta inf", "holonomy", "--theta", "inf", "--samples", "20")
+    refused("holonomy theta nan", "holonomy", "--theta", "nan")
     refused("holonomy no source", "holonomy")
     refused("holonomy two sources", "holonomy", "--loop", loops[0], "--theta", "1")
     return {"inputs": inputs, "cases": cases}

@@ -663,7 +663,8 @@ def test_holonomy_rejected_loops_exit_2_with_message(tmp_path, capsys):
         (("--loop", str(loop)), f"error: {loop}: consecutive overlap at segment 0 has "
                                 "magnitude 0; loop too coarse for a well-defined holonomy\n"),
         (("--theta", "1.0", "--samples", "10"), "error: need at least 16 segments\n"),
-        (("--theta", "nan"), "error: amplitude of '0' is not finite: (nan+0j)\n"),
+        (("--theta", "nan"), "error: theta must be a finite angle, got nan\n"),
+        (("--theta", "inf", "--samples", "20"), "error: theta must be a finite angle, got inf\n"),
         (("--loop", str(wide)), f"error: {wide}: {n} qubits exceed the "
                                 f"{MAX_DENSE_QUBITS}-qubit limit for dense 2^N amplitude "
                                 "vectors\n"),

@@ -485,6 +485,12 @@ def test_holonomy_dense_reference_converges():
     assert abs(math.remainder(dense - (-PI / 2), 2 * PI)) < 1e-8
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_bloch_circle_loop_refuses_a_non_finite_theta_naming_it(theta):
+    with pytest.raises(ValueError, match=f"^theta must be a finite angle, got {theta!r}$"):
+        bloch_circle_loop(theta, 16)
+
+
 def test_holonomy_equator_hits_branch_point():
     gamma = berry_holonomy(bloch_circle_loop(PI / 2, 2000))
     assert abs(abs(gamma) - PI) < 2e-3  # -pi and +pi are the same angle

@@ -283,9 +283,8 @@ def test_a_stationary_pair_is_repeated_not_reintegrated(monkeypatch, generator, 
 
 
 def test_wrap_angles_matches_wrap_angle_bitwise():
-    tiny = 5e-324
-    xs = [-1e-17, -0.0, 0.0, TWO_PI, -TWO_PI, 4 * PI + tiny, 4 * PI, -4 * PI - tiny,
-          -0.1, 7.0, 1e6, -1e6, math.nextafter(TWO_PI, 0.0)]
+    xs = [-1e-17, -0.0, 0.0, TWO_PI, -TWO_PI, math.nextafter(4 * PI, math.inf), 4 * PI,
+          math.nextafter(-4 * PI, -math.inf), -0.1, 7.0, 1e6, -1e6, math.nextafter(TWO_PI, 0.0)]
     assert [x.hex() for x in torus.wrap_angles(np.array(xs)).tolist()] == \
            [wrap_angle(x).hex() for x in xs]
     assert torus.wrap_angles(np.array([-1e-17, -0.0, TWO_PI, -TWO_PI])).tolist() == \

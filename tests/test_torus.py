@@ -287,8 +287,8 @@ def test_wrap_angles_matches_wrap_angle_bitwise():
           math.nextafter(-4 * PI, -math.inf), -0.1, 7.0, 1e6, -1e6, math.nextafter(TWO_PI, 0.0)]
     assert [x.hex() for x in torus.wrap_angles(np.array(xs)).tolist()] == \
            [wrap_angle(x).hex() for x in xs]
-    assert torus.wrap_angles(np.array([-1e-17, -0.0, TWO_PI, -TWO_PI])).tolist() == \
-           [0.0, -0.0, 0.0, -0.0]
+    wrapped = torus.wrap_angles(np.array([-1e-17, -0.0, TWO_PI, -TWO_PI])).tolist()
+    assert [x.hex() for x in wrapped] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
 
 
 # -- phasor derivation cross-check ------------------------------------

@@ -42,27 +42,25 @@ of the kinds without parameters are cached per kind.  A CU block is linear
 in the Pauli components of its u, so the five blocks of P0_c and of P1_c
 times 1, X, Y, Z on the target are derived once and each CU block is
 their weighted sum.  `apply_gate` reads that one cache for both forms
-of a HoloState.  A map form sends every stored amplitude through the
-block column that the bits of the gate's qubits select.  The nonzero
-entries of each column are read into a table, once per kind and once per
-CU gate, and each output label is the input label sliced around the
-gate's one or two positions, so a gate costs a few operations per stored
-term and row, whatever N is.  A vector form's 2^N array is contracted
-with the block as a [2]*N tensor.  `run_circuit_holo` holds one working
-value per run: a plain dict until the term count reaches a measured
-crossover, then one [2]*N tensor; a vector start past the crossover is
-never decoded to a map.  The dict is checked as a HoloState once per
-circuit, at the dense switch or at the end; `apply_gate` checks it per
-gate.  That is safe because every output label is cut from a checked
-label and filled with a block table's '0'/'1' characters, and every
-block was checked by `from_poly` when it was derived.  Only the values
-can go wrong, when an unnormalized start overflows, and a non-finite
-value stays non-finite under these blocks, so the one check still
-refuses it.  The full-register path (`gate_operator` on N qubits,
-`apply_diffop`, `apply_substitution`, `to_poly`, `from_poly`) stays as
-the derivation and as the cross-check the tests compare against.  H and
-SWAP always run through their substitutions; their operator forms
-`hadamard_op` and `swap_op` are the tests' cross-check of those.
+of a HoloState.  A map form is folded as a dict keyed by each label read
+as a big-endian integer (qubit q is bit N - q).  A key's gate bits select
+a block column, whose nonzero entries are read into a table once per kind
+and once per CU gate; each output key is the input key with the row's bits
+put in, so a gate costs a few integer operations per stored term and row,
+whatever N is.  X, Y, Z, SWAP, CNOT and CZ move each term alone to a new
+key times 1, -1, 1j or -1j, so no prune at ZERO_TOL follows them.  A
+vector form's 2^N array is contracted with the block as a [2]*N tensor,
+which `run_circuit_holo` moves to at a measured crossover.  The dict is
+checked as a HoloState, labels and all, once per run (per gate in
+`apply_gate`).  That is safe because every key is a checked key with block
+rows put in, and every block was checked by `from_poly` when it was
+derived; a non-finite value, from an unnormalized start that overflows,
+stays non-finite under these blocks, so the one check still refuses it.
+The full-register path (`gate_operator` on N qubits, `apply_diffop`,
+`apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
+as the cross-check the tests compare against.  H and SWAP always run
+through their substitutions; their operator forms `hadamard_op` and
+`swap_op` are the tests' cross-check of those.
 """
 
 from __future__ import annotations
@@ -70,10 +68,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from types import MappingProxyType
 
 import numpy as np
 
@@ -438,26 +434,19 @@ def gate_operator(gate: GateSpec, nqubits: int) -> DiffOperator | Substitution:
 # order (first qubit most significant), and whose rows are the output bits.
 GateBlock = np.ndarray
 
-# Column table of a gate, read-only: input label of its qubits -> ((output
-# characters..., coeff), ...), the nonzero entries of that block column in
-# row order, with labels and characters in the order of the qubits' positions.
-ColumnTable = Mapping[str, tuple[tuple, ...]]
-
 # The stored term count from which run_circuit_holo moves a state to the
-# dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  Unscaled
-# timings of one map-form gate as the fold runs it (the kernel, no per-gate
-# check), one thread, 2-vCPU x86-64 host, N = 8, 12 and 18, random
-# non-CU kinds, median over gates of the best of 7: 0.8-1.6 us per stored
-# term and gate from 16 terms on (~0.9 us on 256 terms when the host is
-# quiet), 1.5-3 us for a one-term gate (20-40 us for a CU, whose block and
-# column table are built per call); a dense gate costs 28-66 us up to N = 12
-# and 4.1-4.5 ms at N = 18, i.e. ~30 us plus ~16 ns per amplitude.  The
-# constants were set when the sparse path cost ~4 us per term, where dense
-# paid from ~8 + 2^N / 280 terms: N = 8 goes dense from 9 terms, N = 18
-# from 1 032, and a 16-term state at N = 18 stays sparse.  At today's
-# per-term cost the same figures put the break-even near 30 + 2^N / 60
-# terms; the constants are left as they are until a scaling curve of both
-# paths measures it with its own benchmark pairs.
+# dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  One map-form
+# gate as the fold runs it (integer keys, no per-gate check; unscaled, one
+# thread, 2-vCPU x86-64 host, N = 8, 12 and 18, random non-CU kinds, median
+# over gates of the best of 7, two runs) costs 0.44-0.76 us per stored term at
+# 16 terms, 0.32-0.56 us at 256, 1.5-2.7 us at one term, and 17-30 us for a
+# one-term CU, whose block and table are built per call.  A dense gate costs
+# 24-60 us up to N = 12 and 4.7-6.1 ms at N = 18: ~30 us plus ~16-23 ns per
+# amplitude.  The constants date from ~4 us per sparse term, where dense paid
+# from ~8 + 2^N / 280 terms (N = 8 goes dense from 9 terms, N = 18 from 1 032,
+# and a 16-term state at N = 18 stays sparse).  Today's figures put the
+# break-even near 75 + 2^N / 25 terms; the constants stay until a scaling
+# curve of both paths measures it with its own benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
 
@@ -509,54 +498,63 @@ def gate_block(gate: GateSpec) -> GateBlock:
     return p0 + sum(c * b for c, b in zip(_pauli_components(gate.u), p1_paulis))
 
 
-def _column_table(block: GateBlock, swapped: bool) -> ColumnTable:
-    """A block's column table; `swapped` reverses its labels (first qubit after the second)."""
-    k = block.shape[0].bit_length() - 1
-    order = slice(None, None, -1 if swapped else 1)
-    labels = [format(i, f"0{k}b")[order] for i in range(2 ** k)]
-    return MappingProxyType({col: tuple((*row, c) for row, c in zip(labels, coeffs) if c)
-                             for col, coeffs in zip(labels, block.T.tolist())})
+# Local table of a gate, read-only, in its block's bit order: (columns, permutes).
+# columns[c] holds the nonzero (row, coeff) of block column c in row order.
+# permutes: each column holds one entry, 1, -1, 1j or -1j, in a row of its own,
+# so no outputs share a key, coeff * amp is exact, and a prune changes nothing.
+LocalTable = tuple[tuple[tuple[tuple[int, complex], ...], ...], bool]
+
+
+def _local_table(block: GateBlock) -> LocalTable:
+    columns = tuple(tuple((r, c) for r, c in enumerate(coeffs) if c) for coeffs in block.T.tolist())
+    units = {col[0][0] for col in columns if len(col) == 1 and col[0][1] in (1, -1, 1j, -1j)}
+    return columns, len(units) == len(columns)
 
 
 @functools.cache
-def _fixed_columns(kind: str, swapped: bool) -> ColumnTable:
-    """Column table of a gate without parameters; at most two per kind."""
-    return _column_table(_fixed_block(kind), swapped)
+def _fixed_table(kind: str) -> LocalTable:
+    """Local table of a gate without parameters; one per kind."""
+    return _local_table(_fixed_block(kind))
 
 
-def gate_columns(gate: GateSpec) -> ColumnTable:
-    """The column table of a gate, in the position order of its qubits."""
-    swapped = len(gate.qubits) == 2 and gate.qubits[0] > gate.qubits[1]
-    if gate.kind != "CU":
-        return _fixed_columns(gate.kind, swapped)
-    return _column_table(gate_block(gate), swapped)
+def gate_table(gate: GateSpec) -> LocalTable:
+    """The local table of a gate: cached per kind, built from its block for a CU."""
+    return _fixed_table(gate.kind) if gate.kind != "CU" else _local_table(gate_block(gate))
 
 
-def _apply_sparse(columns: ColumnTable, positions: list[int],
-                  amplitudes: dict[str, complex]) -> dict[str, complex]:
-    """Send every stored amplitude through the column its gate bits select.
+def _apply_sparse(table: LocalTable, shifts: list[int],
+                  amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """Send every stored amplitude through the column that its gate bits select.
 
-    Each output label is the input label sliced around the gate's positions
-    with the row's characters put in, so the work is per stored term and row.
-    The result is pruned as HoloState prunes, in the same order, but not
-    checked: a non-finite entry stays for the caller's HoloState to refuse.
+    `shifts` holds N - q, the bit of qubit q in a key, for the gate's qubits.
+    Unless the table permutes, the result is pruned as HoloState prunes, but
+    it is never checked: a non-finite entry stays for the caller to refuse.
     """
-    out: dict[str, complex] = {}
-    if len(positions) == 1:
-        p = positions[0]
-        for bits, amp in amplitudes.items():
-            head, tail = bits[:p], bits[p + 1:]
-            for r, coeff in columns[bits[p]]:
-                key = f"{head}{r}{tail}"
-                out[key] = out.get(key, 0j) + coeff * amp
+    out: dict[int, complex] = {}
+    columns, permutes = table
+    if len(shifts) == 1:
+        s = shifts[0]
+        spread, keep = (0, 1 << s), ~(1 << s)
+        for key, amp in amplitudes.items():
+            base = key & keep
+            for r, coeff in columns[key >> s & 1]:
+                k = base | spread[r]
+                out[k] = out.get(k, 0j) + coeff * amp
     else:
-        lo, hi = sorted(positions)
-        for bits, amp in amplitudes.items():
-            a, m, z = bits[:lo], bits[lo + 1:hi], bits[hi + 1:]
-            for r0, r1, coeff in columns[bits[lo] + bits[hi]]:
-                key = f"{a}{r0}{m}{r1}{z}"
-                out[key] = out.get(key, 0j) + coeff * amp
-    return {k: c for k, c in out.items() if not abs(c) <= ZERO_TOL}  # keeps NaN
+        s0, s1 = shifts
+        spread = (0, 1 << s1, 1 << s0, 1 << s0 | 1 << s1)
+        keep = ~spread[3]
+        for key, amp in amplitudes.items():
+            base = key & keep
+            for r, coeff in columns[(key >> s0 & 1) << 1 | key >> s1 & 1]:
+                k = base | spread[r]
+                out[k] = out.get(k, 0j) + coeff * amp
+    return out if permutes else {k: c for k, c in out.items() if not abs(c) <= ZERO_TOL}
+
+
+def _labelled(n: int, amplitudes: dict[int, complex]) -> dict[str, complex]:
+    """A key map with its keys as labels, in its order."""
+    return {format(k, f"0{n}b"): c for k, c in amplitudes.items()}
 
 
 def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> np.ndarray:
@@ -569,22 +567,17 @@ def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> 
 def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     """Apply a gate's local block to a state; the result has the state's form.
 
-    A map-form state goes through the gate's column table term by term; a
+    A map-form state goes through the gate's local table term by term; a
     vector-form state is contracted with its block as a [2]*N tensor.
     """
-    n = state.nqubits
-    Circuit(n, (gate,))  # refuses a qubit beyond the register, as a circuit does
-    positions = [q - 1 for q in gate.qubits]
-    if state.vector is None:
-        return HoloState(n, _apply_sparse(gate_columns(gate), positions, state.amplitudes))
-    tensor = _apply_dense(gate_block(gate), positions, state.vector.reshape((2,) * n))
-    return HoloState(n, tensor.reshape(-1))
+    circuit = Circuit(state.nqubits, (gate,))  # refuses a qubit beyond the register
+    return _fold(circuit, state, math.inf if state.vector is None else 0)
 
 
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     """Fold a circuit over a state, gate by gate, in the polynomial picture.
 
-    The run holds one working value: a plain dict until the term count
+    The run holds one working value: a keyed dict until the term count
     reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
     [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped at the end.  A
     vector start at that count is contracted as it is when a gate follows;
@@ -594,23 +587,29 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
-    dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
-                  if fits_dense(n) else math.inf)
-    stored = len(state.amplitudes) if state.vector is None else np.count_nonzero(state.vector)
-    if not circuit.gates or stored < dense_from:
-        amps, tensor = state.amplitudes, None  # the checked start; the gates replace it
-    else:
-        start = state.to_vector() if state.vector is None else state.vector
-        amps, tensor = None, start.reshape((2,) * n)
+    return _fold(circuit, state, DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
+                 if fits_dense(n) else math.inf)
+
+
+def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
+    """The fold behind both entry points: the map form below `dense_from` stored terms."""
+    n = state.nqubits
+    if (state.vector is not None and circuit.gates
+            and np.count_nonzero(state.vector) >= dense_from):
+        amps, tensor = None, state.vector.reshape((2,) * n)
+    else:  # the checked start; the gates replace it
+        amps, tensor = {int(bits, 2): c for bits, c in state.amplitudes.items()}, None
     for gate in circuit.gates:  # Circuit has checked every qubit against n
-        positions = [q - 1 for q in gate.qubits]
         if tensor is None:
             if len(amps) < dense_from:
-                amps = _apply_sparse(gate_columns(gate), positions, amps)
+                amps = _apply_sparse(gate_table(gate), [n - q for q in gate.qubits], amps)
                 continue
-            tensor = HoloState(n, amps).to_vector().reshape((2,) * n)
-        tensor = _apply_dense(gate_block(gate), positions, tensor)
-    return HoloState(n, amps) if tensor is None else HoloState(n, tensor.reshape(-1))
+            tensor = np.zeros((2,) * n, dtype=complex)
+            tensor.reshape(-1)[list(amps)] = list(amps.values())
+            if not np.isfinite(tensor).all():  # refused as HoloState refuses, in map order
+                HoloState(n, _labelled(n, amps))
+        tensor = _apply_dense(gate_block(gate), [q - 1 for q in gate.qubits], tensor)
+    return HoloState(n, _labelled(n, amps)) if tensor is None else HoloState(n, tensor.reshape(-1))
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

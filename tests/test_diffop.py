@@ -37,12 +37,13 @@ from holoqsim.diffop import (
     DENSE_MIN_TERMS,
     GATE_ARITY,
     _apply_sparse,
+    _fixed_table,
     _local_operator,
     cnot_op,
     cz_op,
     derive_block,
     gate_block,
-    gate_columns,
+    gate_table,
     hadamard_op,
     pauli_x,
     pauli_y,
@@ -618,20 +619,24 @@ def test_cu_blocks_from_cached_components_match_derivation():
 # -- the map-form kernel, bit for bit ----------------------------------
 
 
-def reference_apply_sparse(block, positions, state):
-    """The per-character map-form kernel: each output label rebuilt from its characters."""
+def reference_apply_sparse(block, positions, amplitudes):
+    """The per-character map-form kernel: each output label rebuilt from its characters.
+
+    The result is pruned at ZERO_TOL as HoloState prunes, in the same order,
+    and not checked: a non-finite entry stays, as the kernel keeps it.
+    """
     labels = [format(i, f"0{len(positions)}b") for i in range(len(block))]
     columns = {col: [(row, c) for row, c in zip(labels, coeffs) if c]
                for col, coeffs in zip(labels, block.T.tolist())}
     out = {}
-    for bits, amp in state.amplitudes.items():
+    for bits, amp in amplitudes.items():
         chars = list(bits)
         for row, coeff in columns["".join([bits[p] for p in positions])]:
             for p, ch in zip(positions, row):
                 chars[p] = ch
             key = "".join(chars)
             out[key] = out.get(key, 0j) + coeff * amp
-    return HoloState(state.nqubits, out)
+    return {k: c for k, c in out.items() if not abs(c) <= holostate.ZERO_TOL}
 
 
 def exact_items(amplitudes):
@@ -654,49 +659,101 @@ def kernel_gates(n, rng):
 
 def kernel_states(n, rng):
     """A random sparse state, one with signed zeros, and H|0...0>, which H on qubit 1 cancels."""
-    where = rng.choice(2 ** n, min(2 ** n, 7), replace=False)
-    v = rng.standard_normal(where.size) + 1j * rng.standard_normal(where.size)
+    where = (rng.choice(2 ** n, min(2 ** n, 7), replace=False).tolist() if n < 63
+             else [int.from_bytes(rng.bytes(9), "big") >> (72 - n) for _ in range(7)])
+    v = rng.standard_normal(len(where)) + 1j * rng.standard_normal(len(where))
     v /= np.linalg.norm(v)
-    yield HoloState(n, {format(int(k), f"0{n}b"): c for k, c in zip(where, v.tolist())})
+    yield HoloState(n, {format(k, f"0{n}b"): c for k, c in zip(where, v.tolist())})
     yield HoloState(n, {"0" * n: complex(-0.0, 0.6), "1" * n: complex(0.8, -0.0)})
     yield apply_gate(GateSpec("H", (1,)), encode_state({"0" * n: 1.0}))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def keyed(state):
+    """A state's map on the integer keys the map-form kernel reads: the labels as binary."""
+    return {int(bits, 2): c for bits, c in state.amplitudes.items()}
+
+
+def apply_keyed(gate, n, amplitudes):
+    """The map-form kernel on one gate, its result labelled again."""
+    out = _apply_sparse(gate_table(gate), [n - q for q in gate.qubits], amplitudes)
+    assert type(out) is dict
+    return {format(k, f"0{n}b"): c for k, c in out.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 65, 70])
 def test_map_kernel_matches_per_character_reference_bit_for_bit(n):
     rng = np.random.default_rng(n)
     for state in kernel_states(n, rng):
         for gate in kernel_gates(n, rng):
-            positions = [q - 1 for q in gate.qubits]
-            got = _apply_sparse(gate_columns(gate), positions, state.amplitudes)
-            ref = reference_apply_sparse(gate_block(gate), positions, state)
-            assert type(got) is dict
-            assert exact_items(got) == exact_items(ref), gate
+            ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits],
+                                         state.amplitudes)
+            assert exact_items(apply_keyed(gate, n, keyed(state))) == exact_items(ref), gate
             assert exact_items(apply_gate(gate, state)) == exact_items(ref), gate
+            one = run_circuit_holo(Circuit(n, (gate,)), state)
+            assert one.vector is None and exact_items(one) == exact_items(ref), gate
 
 
 def test_map_kernel_prunes_cancelled_terms():
-    for n in (1, 20):
+    for n in (1, 20, 70):
         h = GateSpec("H", (n,))
         plus = apply_gate(h, encode_state({"0" * n: 1.0}))
         assert len(plus.amplitudes) == 2
-        back = _apply_sparse(gate_columns(h), [n - 1], plus.amplitudes)
+        back = apply_keyed(h, n, keyed(plus))
         assert exact_items(back) == exact_items(reference_apply_sparse(
-            gate_block(h), [n - 1], plus))
+            gate_block(h), [n - 1], plus.amplitudes))
         assert list(back) == ["0" * n]
         assert exact_items(apply_gate(h, plus)) == exact_items(back)
 
 
 def test_map_kernel_keeps_non_finite_entries_for_the_check():
-    h = gate_columns(GateSpec("H", (1,)))
-    overflow = _apply_sparse(h, [0], {"0": 1.5e308 + 0j, "1": 1.5e308 + 0j})
+    h = GateSpec("H", (1,))
+    overflow = apply_keyed(h, 1, {0: 1.5e308 + 0j, 1: 1.5e308 + 0j})
     assert list(overflow) == ["0"] and overflow["0"].real == math.inf  # "1" cancels to 0
-    nan = _apply_sparse(h, [0], overflow)  # inf * (1/sqrt2 + 0j) has a NaN imaginary part
+    nan = apply_keyed(h, 1, {0: overflow["0"]})  # inf * (1/sqrt2 + 0j) has a NaN imaginary part
     assert list(nan) == ["0", "1"]
     assert all(math.isnan(c.imag) for c in nan.values())
-    assert list(_apply_sparse(gate_columns(GateSpec("X", (1,))), [0], nan)) == ["1", "0"]
+    assert list(apply_keyed(GateSpec("X", (1,)), 1, {0: nan["0"], 1: nan["1"]})) == ["1", "0"]
     with pytest.raises(ValueError, match="not finite"):
         HoloState(1, nan)
+
+
+def test_only_unit_permutation_tables_skip_the_prune():
+    """X, Y, Z, SWAP, CNOT and CZ move each term to a key of its own times 1, -1, 1j or -1j."""
+    permuting = {"X", "Y", "Z", "SWAP", "CNOT", "CZ"}
+    for kind in ALL_KINDS:
+        if kind != "CU":
+            assert _fixed_table(kind)[1] == (kind in permuting), kind
+    rng = np.random.default_rng(49)
+    haar = GateSpec("CU", (1, 2), haar_random_unitary(rng))
+    assert not gate_table(haar)[1]
+    flip = GateSpec("CU", (1, 2), X_MAT)  # a CNOT as its table holds it
+    cnot = (((0, 1),), ((1, 1),), ((3, 1),), ((2, 1),))  # column 2 goes to row 3 and back
+    assert gate_table(flip) == _fixed_table("CNOT") == (cnot, True)
+    # |0.8+0.6j| is 1.0 in floating point, but c * amp rounds, here to ZERO_TOL: pruned.
+    phase = GateSpec("CU", (1, 2), np.diag([1, 0.8 + 0.6j]))
+    amp = complex(-7.341273014107228e-15, 6.790118594865704e-15)
+    assert abs(amp) > holostate.ZERO_TOL >= abs((0.8 + 0.6j) * amp)
+    assert not gate_table(phase)[1]
+    state = HoloState(2, {"11": amp, "00": 1.0})
+    ref = reference_apply_sparse(gate_block(phase), [0, 1], state.amplitudes)
+    assert list(ref) == ["00"] and exact_items(apply_gate(phase, state)) == exact_items(ref)
+
+
+@pytest.mark.parametrize("n", [3, 70])
+def test_permutation_fold_skips_the_prune_bit_for_bit(n):
+    """From signed zeros, inf and NaN, every output sits alone at its key, as the prune keeps it."""
+    rng = np.random.default_rng(n)
+    start = {"0" * n: complex(-0.0, 0.6), "1" * n: complex(math.inf, -0.0),
+             "01" * (n // 2) + "0" * (n % 2): complex(math.nan, 2e-14),
+             "1" + "0" * (n - 1): complex(1e-14, 1e-14)}
+    gates = [g for g in kernel_gates(n, rng) if g.kind in ("X", "Y", "Z", "SWAP", "CNOT", "CZ")]
+    gates += random_circuit(rng, n, 40, ("X", "Y", "Z", "SWAP", "CNOT", "CZ")).gates
+    ref = start
+    for gate in gates:
+        got = apply_keyed(gate, n, {int(bits, 2): c for bits, c in ref.items()})
+        ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], ref)
+        assert exact_items(got) == exact_items(ref), gate
+    assert len(ref) == len(start)
 
 
 def test_circuit_run_matches_per_character_fold_bit_for_bit():
@@ -704,7 +761,7 @@ def test_circuit_run_matches_per_character_fold_bit_for_bit():
     n = 20  # past the crossover only from 4 104 terms: the run stays in the map form
     circ = random_circuit(rng, n, 120)
     state = encode_state({"0" * n: 1.0})
-    ref = state
+    ref = state.amplitudes
     for gate in circ.gates:
         ref = reference_apply_sparse(gate_block(gate), [q - 1 for q in gate.qubits], ref)
     got = run_circuit_holo(circ, state)
@@ -794,6 +851,16 @@ def test_circuit_run_refuses_a_non_finite_result_in_either_form():
     assert exact_items(run_circuit_holo(large, finite)) == exact_items(per_gate_fold(large, finite))
 
 
+def test_dense_switch_names_the_first_non_finite_entry_in_map_order():
+    """The switch refuses as HoloState refuses the map; the tensor's index order names '000'."""
+    start = HoloState(3, {"101": 1.5e308, "010": 1.5e308, "100": 1.5e308})
+    gates = tuple(GateSpec(kind, qubits) for kind, qubits in (
+        ("H", (3,)), ("X", (2,)), ("H", (2,)), ("X", (3,)), ("H", (1,)), ("CNOT", (2, 3))))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"amplitude of '001' is not finite: \(nan\+nanj\)"):
+        run_circuit_holo(Circuit(3, gates), start)
+
+
 def test_circuit_run_refuses_a_result_that_overflows_after_the_dense_switch():
     """The run checks its dense result itself, not only when its amplitudes are read."""
     start = HoloState(3, {"000": 1.5e308, "001": 1.5e308})
@@ -804,15 +871,14 @@ def test_circuit_run_refuses_a_result_that_overflows_after_the_dense_switch():
 
 
 def test_cached_column_tables_are_read_only():
-    table = gate_columns(GateSpec("CNOT", (3, 1)))
-    assert table is gate_columns(GateSpec("CNOT", (7, 2)))
-    assert table is not gate_columns(GateSpec("CNOT", (1, 3)))
+    table = gate_table(GateSpec("CNOT", (3, 1)))
+    assert table is gate_table(GateSpec("CNOT", (7, 2))) is gate_table(GateSpec("CNOT", (1, 3)))
+    columns, permutes = table
+    assert isinstance(table, tuple) and isinstance(columns, tuple) and permutes is True
     with pytest.raises(TypeError):
-        table["00"] = ()
-    with pytest.raises(TypeError):
-        del table["11"]
-    for rows in table.values():
-        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        columns[0] = ()
+    for column in columns:
+        assert isinstance(column, tuple) and all(isinstance(entry, tuple) for entry in column)
 
 
 @pytest.mark.parametrize("make", [

@@ -110,8 +110,9 @@ def _checked_term_bound(circuit, state: HoloState, form: str) -> tuple[int, int]
     Above MAX_DENSE_QUBITS no 2^N vector can hold the run, so a bound past
     the cap is refused with exit 2, by the same rule for simulate and diff.
     """
-    n = circuit.nqubits
-    bound, cap = sparse_term_bound(circuit, len(state.amplitudes)), sparse_cap(n)
+    n, v = circuit.nqubits, state.vector
+    terms = len(state.amplitudes) if v is None else np.count_nonzero(v)  # builds no map
+    bound, cap = sparse_term_bound(circuit, terms), sparse_cap(n)
     if bound > cap and not fits_dense(n):
         raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
                        f"amplitude vectors, and {form}'s term bound {bound} passes its cap "

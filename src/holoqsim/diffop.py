@@ -440,15 +440,30 @@ GateBlock = np.ndarray
 # thread, 2-vCPU x86-64 host, N = 8, 12 and 18, random non-CU kinds, median
 # over gates of the best of 7, two runs) costs 0.44-0.76 us per stored term at
 # 16 terms, 0.32-0.56 us at 256, 1.5-2.7 us at one term, and 17-30 us for a
-# one-term CU, whose block and table are built per call.  A dense gate costs
-# 24-60 us up to N = 12 and 4.7-6.1 ms at N = 18: ~30 us plus ~16-23 ns per
-# amplitude.  The constants date from ~4 us per sparse term, where dense paid
-# from ~8 + 2^N / 280 terms (N = 8 goes dense from 9 terms, N = 18 from 1 032,
-# and a 16-term state at N = 18 stays sparse).  Today's figures put the
-# break-even near 75 + 2^N / 25 terms; the constants stay until a scaling
-# curve of both paths measures it with its own benchmark pairs.
+# one-term CU, whose block and table are built per call.  A dense gate, one
+# np.dot, costs 8-15 us at N = 8, 20-52 us at N = 12 and 6.2-8.1 ms at N = 18
+# (all kinds, best of 7 per gate, range over gates and two runs): ~8 us plus
+# ~25 ns per amplitude.  The np.tensordot form it replaced took 22-37 us,
+# 36-81 us and 6.5-7.9 ms in the same runs.  The constants date from ~4 us per
+# sparse term, where dense paid from ~8 + 2^N / 280 terms (N = 8 goes dense
+# from 9 terms, N = 18 from 1 032, and a 16-term state at N = 18 stays
+# sparse).  Today's figures put the break-even near 20 + 2^N / 16 terms; the
+# constants stay until a scaling curve of both paths measures it with its own
+# benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
+
+
+def dense_crossover(nqubits: int) -> float:
+    """The stored term count from which a run holds an N-qubit state as a [2]*N tensor.
+
+    DENSE_MIN_TERMS + 2^N // DENSE_AMPLITUDES_PER_TERM, or inf above
+    MAX_DENSE_QUBITS.  `fileio` reads a state file of that many amplitudes
+    straight into the vector form.
+    """
+    if not fits_dense(nqubits):
+        return math.inf
+    return DENSE_MIN_TERMS + 2 ** nqubits // DENSE_AMPLITUDES_PER_TERM
 
 
 def _local_operator(kind: str, u: np.ndarray | None = None) -> DiffOperator | Substitution:
@@ -558,10 +573,16 @@ def _labelled(n: int, amplitudes: dict[int, complex]) -> dict[str, complex]:
 
 
 def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> np.ndarray:
-    """Contract the block with the gate's axes of a [2]*N tensor; returns a view, unflattened."""
-    k = len(positions)
-    out = np.tensordot(block.reshape((2,) * (2 * k)), tensor, axes=(range(k, 2 * k), positions))
-    return np.moveaxis(out, range(k), positions)
+    """Contract the block with the gate's axes of a [2]*N tensor; returns a view, unflattened.
+
+    The gate's axes are moved to the front and flattened into 2^k rows, one
+    np.dot multiplies the block into them, and the inverse transpose puts the
+    axes back.  These are the operands np.tensordot builds for the same
+    contraction, so the BLAS call and every bit are its, without its wrapper.
+    """
+    order = positions + [axis for axis in range(tensor.ndim) if axis not in positions]
+    out = np.dot(block, tensor.transpose(order).reshape(len(block), -1))
+    return out.reshape(tensor.shape).transpose(sorted(range(tensor.ndim), key=order.__getitem__))
 
 
 def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
@@ -587,8 +608,7 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
-    return _fold(circuit, state, DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
-                 if fits_dense(n) else math.inf)
+    return _fold(circuit, state, dense_crossover(n))
 
 
 def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:

@@ -26,10 +26,15 @@ then one row per sample.
 
 The loaders check only JSON shape; HoloState checks labels and values and
 GateSpec kinds, qubits and blocks, and their refusals become FormatErrors
-that name the file.  Every float writer (states, circuits, reports, CSV
-rows) prints a float as "%.17g", so values round-trip exactly: -0.0 prints
-as "-0", which the loaders read back as -0.0.  Every writer goes through an
-atomic temp-file + rename so a crash cannot leave a half-written output.
+that name the file.  A state of at least diffop.dense_crossover(N)
+amplitudes whose labels ascend, as in every file holoqsim writes, is read
+into HoloState's vector form, which refuses in the map's order with its
+messages.  Unsorted files stay maps: a vector's norm sums in index order,
+a map's in file order, and the printed norm's last digits follow it.
+Every float writer (states, circuits, reports, CSV rows) prints a float as
+"%.17g", so values round-trip exactly: -0.0 prints as "-0", which the
+loaders read back as -0.0.  Every writer goes through an atomic
+temp-file + rename so a crash cannot leave a half-written output.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import tempfile
 
 import numpy as np
 
-from .diffop import Circuit, GateSpec
+from .diffop import Circuit, GateSpec, dense_crossover
 from .geometry import StateLoop
 from .holostate import HoloState, require_dense
 from .torus import Trajectory
@@ -172,14 +177,35 @@ def _complex_pair(pair, where: str, what: str, *args) -> complex:
         raise FormatError(f"{where}: {what % args} is too large for a float") from None
 
 
+def _dense_vector(amps: dict[str, complex], nqubits: int) -> np.ndarray | None:
+    """The 2^N vector of amplitudes whose labels are nqubits-bit strings in ascending order.
+
+    None for any other labels: the map path reads them and names the first
+    bad one.  Labels of one length and of 0s and 1s sort as their indices.
+    """
+    labels = list(amps)
+    text = "".join(labels)
+    if ({*map(len, labels)} != {nqubits} or text.count("0") + text.count("1") != len(text)
+            or labels != sorted(labels)):
+        return None
+    vector = np.zeros(2 ** nqubits, dtype=complex)
+    vector[[int(bits, 2) for bits in labels]] = list(amps.values())
+    return vector
+
+
 def _state_from_amplitudes(obj, nqubits: int, where: str) -> HoloState:
-    """The HoloState of an amplitudes object; HoloState checks labels and values."""
+    """The HoloState of an amplitudes object; HoloState checks labels and values.
+
+    Every pair is checked, in file order, before any label; then labels and
+    values, entry by entry in file order, in either form.
+    """
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: amplitudes must be an object")
     amps = {bits: _complex_pair(pair, where, "amplitude of %r", bits)
             for bits, pair in obj.items()}
+    vector = _dense_vector(amps, nqubits) if len(amps) >= dense_crossover(nqubits) else None
     try:
-        return HoloState(nqubits, amps)
+        return HoloState(nqubits, amps if vector is None else vector)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}")
 
@@ -203,9 +229,18 @@ def load_state(path: str) -> HoloState:
 
 
 def state_text(state: HoloState) -> str:
-    """The state file, amplitudes in label order, in dump_json_text's layout."""
+    """The state file, amplitudes in label order, in dump_json_text's layout.
+
+    A vector form is read at its nonzero indices, whose order is label order.
+    """
+    n, v = state.nqubits, state.vector
+    if v is None:
+        items = sorted(state.amplitudes.items())
+    else:
+        index = np.flatnonzero(v)
+        items = zip([format(k, f"0{n}b") for k in index.tolist()], v[index].tolist())
     amps = ",\n".join(['    "%s": [%.17g, %.17g]' % (bits, amp.real, amp.imag)
-                       for bits, amp in sorted(state.amplitudes.items())])
+                       for bits, amp in items])
     amps = "{\n" + amps + "\n  }" if amps else "{}"
     return '{\n  "n": %d,\n  "amplitudes": %s\n}\n' % (state.nqubits, amps)
 

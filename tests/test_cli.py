@@ -12,10 +12,13 @@ import pytest
 import holoqsim.cli
 import holoqsim.geometry
 import holoqsim.torus
-from holoqsim import MAX_DENSE_QUBITS
+from holoqsim import MAX_DENSE_QUBITS, HoloState, load_state, save_state
 from holoqsim.cli import main
+from holoqsim.fileio import format_float, state_text
 from holoqsim.geometry import overlap_distance
 from holoqsim.semiclassical import pauli_hamiltonian
+
+from _support import random_state_vector
 
 SQ2 = math.sqrt(2.0)
 PI = math.pi
@@ -313,6 +316,107 @@ def test_bad_label_and_nan_amplitude_exit_2_with_message(tmp_path, capsys, amps,
         assert run_cli(capsys, command, "--circuit", str(circ), "--state", str(state),
                        "--out", str(out)) == (2, "", f"error: {state}: {message}\n")
     assert not out.exists()
+
+
+def dense_file_text(edits):
+    """Sixteen ascending 4-qubit entries of [0.25, 0], past the crossover of 8 entries,
+    with {position: (label or None, pair text or None)} edits."""
+    entries = [[format(k, "04b"), "[0.25, 0]"] for k in range(16)]
+    for k, (label, pair) in edits.items():
+        entries[k] = [label or entries[k][0], pair or entries[k][1]]
+    return '{"n": 4, "amplitudes": {%s}}' % ", ".join(f'"{b}": {p}' for b, p in entries)
+
+
+# A bad pair anywhere is named before any label; labels and values are then
+# checked entry by entry in file order.
+DENSE_FILE_REFUSALS = {
+    "short-pair": ({5: (None, "[1]")}, "amplitude of '0101' must be a [real, imag] pair"),
+    "bool-pair": ({5: (None, "[true, 0]")}, "amplitude of '0101' must be a [real, imag] pair"),
+    "huge-integer": ({5: (None, "[1%s, 0]" % ("0" * 400))},
+                     "amplitude of '0101' is too large for a float"),
+    "bad-label": ({5: ("01x1", None)}, "bad basis label '01x1' for 4 qubit(s)"),
+    "short-label": ({5: ("010", None)}, "bad basis label '010' for 4 qubit(s)"),
+    # Bad last labels that still ascend; int(bits, 2) reads the second as 7.
+    "ascending-bad-label": ({15: ("1x11", None)}, "bad basis label '1x11' for 4 qubit(s)"),
+    "ascending-underscore": ({15: ("1_11", None)}, "bad basis label '1_11' for 4 qubit(s)"),
+    "ascending-long-label": ({15: ("11111", None)}, "bad basis label '11111' for 4 qubit(s)"),
+    "nan": ({5: (None, "[NaN, 0]"), 9: (None, "[Infinity, 0]")},
+            "amplitude of '0101' is not finite: (nan+0j)"),
+    "1e999": ({9: (None, "[0, 1e999]")}, "amplitude of '1001' is not finite: infj"),
+    "duplicate-key": ({6: ("0101", None)}, "duplicate key '0101' in JSON object"),
+    "bad-label-then-bad-pair": ({3: ("0x11", None), 9: (None, "[1]")},
+                                "amplitude of '1001' must be a [real, imag] pair"),
+    "nan-then-bad-label": ({3: (None, "[NaN, 0]"), 9: ("10x1", None)},
+                           "amplitude of '0011' is not finite: (nan+0j)"),
+    "bad-label-then-nan": ({3: ("0x11", None), 9: (None, "[NaN, 0]")},
+                           "bad basis label '0x11' for 4 qubit(s)"),
+}
+
+
+@pytest.mark.parametrize("edits, message", DENSE_FILE_REFUSALS.values(),
+                         ids=DENSE_FILE_REFUSALS.keys())
+def test_dense_state_file_refusals_name_the_first_bad_entry(tmp_path, capsys, edits, message):
+    circ = tmp_path / "h.json"
+    circ.write_text('{"n": 4, "gates": [{"kind": "H", "qubits": [1]}]}')
+    state = tmp_path / "state.json"
+    state.write_text(dense_file_text(edits))
+    out = tmp_path / "out.json"
+    for argv in (("simulate", "--circuit", str(circ), "--out", str(out)),
+                 ("diff", "--circuit", str(circ)), ("entanglement",)):
+        assert run_cli(capsys, *argv, "--state", str(state)) == (
+            2, "", f"error: {state}: {message}\n")
+    assert not out.exists()
+
+
+def shuffled_state_file(path, rng, n, scale):
+    """A random state times scale, its labels shuffled; returns its norm summed in file order."""
+    v = scale * random_state_vector(rng, n)
+    order = rng.permutation(2 ** n).tolist()
+    amps = ", ".join(f'"{k:0{n}b}": [{format_float(v[k].real)}, {format_float(v[k].imag)}]'
+                     for k in order)
+    path.write_text('{"n": %d, "amplitudes": {%s}}' % (n, amps))
+    file_order = math.sqrt(sum(abs(v[k]) ** 2 for k in order))
+    return file_order, file_order != math.sqrt(sum(abs(c) ** 2 for c in v.tolist()))
+
+
+def test_unsorted_unnormalized_dense_file_names_its_norm_summed_in_file_order(tmp_path, capsys):
+    circ = tmp_path / "h.json"
+    circ.write_text('{"n": 6, "gates": [{"kind": "H", "qubits": [1]}]}')
+    state = tmp_path / "state.json"
+    moved = 0
+    for seed in range(21):
+        norm, order_matters = shuffled_state_file(state, np.random.default_rng(seed), 6, 1.000001)
+        moved += order_matters
+        assert run_cli(capsys, "simulate", "--circuit", str(circ), "--state", str(state),
+                       "--out", str(tmp_path / "out.json")) == (
+            2, "", f"error: state in {state} is not normalized (norm {format_float(norm)})\n")
+    assert moved >= 3  # index order would print another norm for these files
+
+
+def test_empty_circuit_on_unsorted_dense_file_prints_its_norm_in_file_order(tmp_path, capsys):
+    circ = tmp_path / "empty.json"
+    circ.write_text('{"n": 6, "gates": []}')
+    state, out = tmp_path / "state.json", tmp_path / "out.json"
+    moved = 0
+    for seed in range(21):
+        norm, order_matters = shuffled_state_file(state, np.random.default_rng(seed), 6, 1.0)
+        moved += order_matters
+        code, stdout, _ = run_cli(capsys, "simulate", "--circuit", str(circ),
+                                  "--state", str(state), "--out", str(out))
+        assert code == 0 and f"\nnorm: {format_float(norm)}\n" in stdout
+        assert state_text(load_state(str(state))) == out.read_text()  # written in label order
+    assert moved >= 3
+
+
+def test_empty_circuit_returns_a_dense_file_byte_for_byte(tmp_path, capsys):
+    circ = tmp_path / "empty.json"
+    circ.write_text('{"n": 10, "gates": []}')
+    state, out = tmp_path / "state.json", tmp_path / "out.json"
+    save_state(str(state), HoloState(10, random_state_vector(np.random.default_rng(10), 10)))
+    assert load_state(str(state)).vector is not None
+    assert run_cli(capsys, "simulate", "--circuit", str(circ), "--state", str(state),
+                   "--out", str(out))[0] == 0
+    assert out.read_bytes() == state.read_bytes()
 
 
 def test_diff_unnormalized_state_exits_2(bell_files, tmp_path, capsys):

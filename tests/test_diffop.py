@@ -36,11 +36,13 @@ from holoqsim.diffop import (
     DENSE_AMPLITUDES_PER_TERM,
     DENSE_MIN_TERMS,
     GATE_ARITY,
+    _apply_dense,
     _apply_sparse,
     _fixed_table,
     _local_operator,
     cnot_op,
     cz_op,
+    dense_crossover,
     derive_block,
     gate_block,
     gate_table,
@@ -616,6 +618,62 @@ def test_cu_blocks_from_cached_components_match_derivation():
         assert np.max(np.abs(block - derive_block(_local_operator("CU", u)))) <= 1e-15
 
 
+# -- the dense kernel, bit for bit -------------------------------------
+
+
+def reference_apply_dense(block, positions, tensor):
+    """The np.tensordot form of the dense kernel: block axes contracted with the gate's axes."""
+    k = len(positions)
+    out = np.tensordot(block.reshape((2,) * (2 * k)), tensor, axes=(range(k, 2 * k), positions))
+    return np.moveaxis(out, range(k), positions)
+
+
+def exact_entries(tensor):
+    """Every entry of an array in index order, each part as float.hex, so -0.0 differs from 0.0."""
+    return [(c.real.hex(), c.imag.hex()) for c in np.asarray(tensor).reshape(-1).tolist()]
+
+
+def signed_zero_tensor(rng, n):
+    """A random [2]*N tensor in which a quarter of the real and of the imaginary parts are ±0.0."""
+    v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    for part in (v.real, v.imag):
+        where = rng.choice(2 ** n, max(1, 2 ** n // 4), replace=False)
+        part[where] = np.where(rng.integers(2, size=where.size), 0.0, -0.0)
+    return v.reshape((2,) * n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dense_kernel_matches_tensordot_bit_for_bit(n):
+    """Every kind on every qubit, and on every ordered pair, from starts with signed zeros."""
+    rng = np.random.default_rng(200 + n)
+    gates = [GateSpec(kind, (q,)) for kind in ("X", "Y", "Z", "H") for q in range(1, n + 1)]
+    gates += [GateSpec(kind, (a, b), haar_random_unitary(rng) if kind == "CU" else None)
+              for kind in ("SWAP", "CNOT", "CZ", "CU")
+              for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    basis = np.zeros((2,) * n, dtype=complex)
+    basis.flat[-1] = 1.0
+    for tensor in (signed_zero_tensor(rng, n), basis):
+        for gate in gates:
+            block, positions = gate_block(gate), [q - 1 for q in gate.qubits]
+            got = _apply_dense(block, positions, tensor)
+            ref = reference_apply_dense(block, positions, tensor)
+            assert got.shape == ref.shape == tensor.shape, gate
+            assert exact_entries(got) == exact_entries(ref), gate
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_dense_circuit_run_matches_tensordot_fold_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    circ = random_circuit(rng, n, 96)
+    start = HoloState(n, signed_zero_tensor(rng, n).reshape(-1))
+    ref = start.vector.reshape((2,) * n)
+    for gate in circ.gates:
+        ref = reference_apply_dense(gate_block(gate), [q - 1 for q in gate.qubits], ref)
+    got = run_circuit_holo(circ, start)
+    assert got.vector is not None
+    assert exact_entries(got.vector) == exact_entries(HoloState(n, ref.reshape(-1)).vector)
+
+
 # -- the map-form kernel, bit for bit ----------------------------------
 
 
@@ -771,8 +829,7 @@ def test_circuit_run_matches_per_character_fold_bit_for_bit():
 def per_gate_fold(circuit, state):
     """run_circuit_holo's fold through the public per-gate API: a checked HoloState per gate."""
     n = state.nqubits
-    dense_from = (DENSE_MIN_TERMS + 2 ** n // DENSE_AMPLITUDES_PER_TERM
-                  if n <= holostate.MAX_DENSE_QUBITS else math.inf)
+    dense_from = dense_crossover(n)
     state = HoloState(n, state.amplitudes)
     for gate in circuit.gates:
         if state.vector is None and len(state.amplitudes) >= dense_from:

@@ -30,6 +30,7 @@ from holoqsim.fileio import (
     csv_text,
     dump_json_text,
     format_float,
+    state_text,
     trajectory_csv_text,
 )
 from holoqsim.holostate import HoloState
@@ -166,6 +167,59 @@ def test_integer_pairs_load_as_numbers(tmp_path):
                  '{"n": 2, "gates": [{"kind": "CU", "qubits": [2, 1], '
                  '"u": [[[0, 0], [1, 0]], [[1, 0], [0.0, 0]]]}]}')
     assert np.array_equal(load_circuit(path).gates[0].u, [[0, 1], [1, 0]])
+
+
+# -- dense state files ------------------------------------------------
+
+
+def state_file_text(n, entries):
+    """A state file holding (label, (re, im)) entries in the order given, floats as "%.17g"."""
+    amps = ", ".join(f'"{bits}": [{format_float(re)}, {format_float(im)}]'
+                     for bits, (re, im) in entries)
+    return '{"n": %d, "amplitudes": {%s}}' % (n, amps)
+
+
+def map_form(text):
+    """The state as the map path reads a file: complex(re, im) of each pair, in file order."""
+    doc = json.loads(text, parse_int=lambda token: -0.0 if token == "-0" else int(token))
+    return HoloState(doc["n"], {bits: complex(*pair) for bits, pair in doc["amplitudes"].items()})
+
+
+def exact_state_items(state):
+    return [(bits, c.real.hex(), c.imag.hex()) for bits, c in state.amplitudes.items()]
+
+
+# Parts that a file may hold: signed zeros, integer tokens, an entry at ZERO_TOL's
+# scale on each side, and an all-zero entry.  The small and zero ones are pruned.
+EDGE_PAIRS = [(-0.0, 0.6), (0.8, -0.0), (1.0, 0.0), (-0.0, -0.0), (1e-15, -0.0),
+              (3e-15, 1e-14), (2.0, -1.0)]
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_ascending_dense_file_loads_as_a_vector_equal_to_its_map(tmp_path, n):
+    rng = np.random.default_rng(n)
+    pairs = [tuple(p) for p in rng.standard_normal((2 ** n, 2)).tolist()]
+    for k, pair in zip(rng.choice(2 ** n, len(EDGE_PAIRS), replace=False), EDGE_PAIRS):
+        pairs[k] = pair
+    text = state_file_text(n, [(format(k, f"0{n}b"), pair) for k, pair in enumerate(pairs)])
+    got, ref = load_state(write(tmp_path, "dense.json", text)), map_form(text)
+    assert got.vector is not None and ref.vector is None
+    assert exact_state_items(got) == exact_state_items(ref)
+    assert got.norm().hex() == ref.norm().hex()
+    assert state_text(got) == state_text(ref)
+
+
+def test_short_or_unsorted_dense_files_load_as_maps(tmp_path):
+    n = 9  # the crossover is 8 + 512 // 256 = 10 entries
+    rng = np.random.default_rng(90)
+    labels = [format(k, f"0{n}b") for k in sorted(rng.choice(2 ** n, 10, replace=False))]
+    pairs = [tuple(p) for p in rng.standard_normal((10, 2)).tolist()]
+    for entries, dense in ((zip(labels, pairs), True), (zip(labels[1:], pairs[1:]), False),
+                           (zip(labels[::-1], pairs), False)):
+        text = state_file_text(n, entries)
+        got = load_state(write(tmp_path, "state.json", text))
+        assert (got.vector is not None) == dense
+        assert exact_state_items(got) == exact_state_items(map_form(text))
 
 
 def test_state_rejects_missing_keys(tmp_path):

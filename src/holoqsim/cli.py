@@ -28,6 +28,7 @@ import numpy as np
 from .diffop import run_circuit_holo
 from .fileio import (
     atomic_write_text,
+    column_texts,
     csv_text,
     dump_json_text,
     format_float,
@@ -181,11 +182,13 @@ def cmd_portrait(args) -> int:
     starts = [(sigma0, delta0, TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0))))
               for sigma0 in offsets for delta0 in deltas]  # all checked before any file is written
     os.makedirs(args.out_dir, exist_ok=True)
+    # every trajectory samples this grid, so its column is formatted once
+    time_texts = column_texts(fixed_steps(args.t_final, args.dt)[0])
     entries = []
     for idx, (sigma0, delta0, start) in enumerate(starts):
         traj = integrate_flow(spec, start)
         fname = f"portrait_{generator.lower()}_{idx:02d}.csv"
-        save_trajectory(os.path.join(args.out_dir, fname), traj)
+        save_trajectory(os.path.join(args.out_dir, fname), traj, time_texts)
         entries.append({
             "file": fname,
             "sigma0": sigma0,

@@ -602,8 +602,9 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
     [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped at the end.  A
     vector start at that count is contracted as it is when a gate follows;
-    other starts run from their map.  The working value is checked once, at
-    the dense switch or the end, not at the gate that made it.
+    other starts run from their map; an empty circuit returns the start.
+    The working value is checked once, at the dense switch or the end, not
+    at the gate that made it.
     """
     n = state.nqubits
     if circuit.nqubits != n:
@@ -612,10 +613,14 @@ def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
 
 
 def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
-    """The fold behind both entry points: the map form below `dense_from` stored terms."""
+    """The fold behind both entry points: the map form below `dense_from` stored terms.
+
+    With no gates, the checked start is the result, in its own form.
+    """
     n = state.nqubits
-    if (state.vector is not None and circuit.gates
-            and np.count_nonzero(state.vector) >= dense_from):
+    if not circuit.gates:
+        return state
+    if state.vector is not None and np.count_nonzero(state.vector) >= dense_from:
         amps, tensor = None, state.vector.reshape((2,) * n)
     else:  # the checked start; the gates replace it
         amps, tensor = {int(bits, 2): c for bits, c in state.amplitudes.items()}, None

@@ -22,7 +22,9 @@ closing state repeating the first.  It loads into one dense (M+1, 2^N)
 array, so "n" above MAX_DENSE_QUBITS is refused before allocation.
 
 Trajectory file (CSV): header "t, phi_a_1, phi_b_1, ..., sum_phase_1, ..."
-then one row per sample.
+then one row per sample.  It is formatted by column: each distinct float
+of a column once, and the time grid that `portrait`'s trajectories share
+once per call, to the bytes of one "%.17g" per entry.
 
 The loaders check only JSON shape; HoloState checks labels and values and
 GateSpec kinds, qubits and blocks, and their refusals become FormatErrors
@@ -332,14 +334,37 @@ def csv_text(columns: list[str], rows) -> str:
     return "\n".join(lines)
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
+def column_texts(values) -> list[str]:
+    """The "%.17g" text of each entry of a float column, each distinct bit pattern formatted once.
+
+    Entries are keyed by their bits, not their value: -0.0 == 0.0, but they
+    print as "-0" and "0".
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    texts = ["%.17g" % x for x in bits.view(float).tolist()]
+    return [texts[k] for k in inverse.tolist()]
+
+
+def trajectory_csv_text(traj: Trajectory, time_texts: list[str] | None = None) -> str:
+    """The trajectory's CSV text, as csv_text would print its rows, column by column.
+
+    time_texts, when given, is column_texts(traj.times), formatted once for
+    trajectories that sample one time grid.
+    """
     n = traj.nqubits
+    if time_texts is None:
+        time_texts = column_texts(traj.times)
+    elif len(time_texts) != traj.nsamples:
+        raise ValueError(f"{len(time_texts)} time texts for {traj.nsamples} samples")
     cols = ["t"]
     for j in range(1, n + 1):
         cols += [f"phi_a_{j}", f"phi_b_{j}"]
     cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
-    return csv_text(cols, np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist())
+    columns = [time_texts, *map(column_texts, traj.phases.T),
+               *map(column_texts, traj.sum_phases.T)]
+    return "\n".join([", ".join(cols), *map(", ".join, zip(*columns)), ""])
 
 
-def save_trajectory(path: str, traj: Trajectory) -> None:
-    atomic_write_text(path, trajectory_csv_text(traj))
+def save_trajectory(path: str, traj: Trajectory, time_texts: list[str] | None = None) -> None:
+    atomic_write_text(path, trajectory_csv_text(traj, time_texts))

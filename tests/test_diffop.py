@@ -397,6 +397,24 @@ def test_empty_circuit_is_identity():
     assert run_circuit_holo(Circuit(3, ()), psi) == psi
 
 
+@pytest.mark.parametrize("form", ["map", "vector"])
+def test_empty_circuit_returns_its_start_in_its_form(form):
+    """No gates: the start comes back in its form, with its items in their order, bit for bit."""
+    n, rng = 5, np.random.default_rng(5)
+    v = random_state_vector(rng, n)
+    v[[3, 17]] = [complex(-0.0, 0.25), 0.0]
+    if form == "map":  # labels out of index order, as an unsorted file loads
+        labels = [format(k, f"0{n}b") for k in rng.permutation(2 ** n).tolist()]
+        start = HoloState(n, {bits: v[int(bits, 2)] for bits in labels})
+    else:
+        start = HoloState(n, v)
+    out = run_circuit_holo(Circuit(n, ()), start)
+    assert (out.vector is None) == (form == "map")
+    assert exact_items(out) == exact_items(start)
+    if form == "vector":
+        assert np.array_equal(out.vector.view(np.uint64), start.vector.view(np.uint64))
+
+
 def test_double_x_restores_state():
     rng = np.random.default_rng(13)
     psi = encode_state(random_state_vector(rng, 2))
@@ -827,7 +845,12 @@ def test_circuit_run_matches_per_character_fold_bit_for_bit():
 
 
 def per_gate_fold(circuit, state):
-    """run_circuit_holo's fold through the public per-gate API: a checked HoloState per gate."""
+    """run_circuit_holo's fold through the public per-gate API: a checked HoloState per gate.
+
+    An empty circuit returns its start, in its form.
+    """
+    if not circuit.gates:
+        return state
     n = state.nqubits
     dense_from = dense_crossover(n)
     state = HoloState(n, state.amplitudes)

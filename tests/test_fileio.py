@@ -25,8 +25,10 @@ from holoqsim import (
     save_state,
     save_trajectory,
 )
+from holoqsim.cli import DEFAULT_DELTAS, DEFAULT_OFFSETS, main
 from holoqsim.fileio import (
     FormatError,
+    column_texts,
     csv_text,
     dump_json_text,
     format_float,
@@ -34,6 +36,7 @@ from holoqsim.fileio import (
     trajectory_csv_text,
 )
 from holoqsim.holostate import HoloState
+from holoqsim.torus import Trajectory
 
 SQ2 = math.sqrt(2.0)
 
@@ -435,6 +438,63 @@ def test_trajectory_csv_equals_per_element_format():
                       + [format_float(x) for x in traj.sum_phases[i]])
             for i in range(traj.nsamples)]
     assert trajectory_csv_text(traj).splitlines()[1:] == rows
+
+
+def reference_trajectory_csv_text(traj):
+    """The per-row writer that trajectory_csv_text replaced: csv_text over rows of floats."""
+    n = traj.nqubits
+    cols = ["t"]
+    for j in range(1, n + 1):
+        cols += [f"phi_a_{j}", f"phi_b_{j}"]
+    cols += [f"sum_phase_{j}" for j in range(1, n + 1)]
+    return csv_text(cols, np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist())
+
+
+def test_trajectory_columns_are_formatted_by_their_bits(tmp_path):
+    """Signed zeros in either order, extremes, 1/3, a constant and an all-distinct column."""
+    third = 1.0 / 3.0
+    zeros = [0.0, -0.0, 0.0, -0.0, 5e-324, 1e308, third, -0.0]
+    traj = Trajectory(
+        [0.1 * k for k in range(8)],
+        np.column_stack((zeros, [third] * 8, [-0.0] * 8,
+                         np.random.default_rng(8).uniform(0.0, 6.3, 8))),
+        np.column_stack((zeros[::-1],
+                         [-1e308, 1e308, -5e-324, 5e-324, third, -third, math.inf, math.nan])))
+    rows = [", ".join(["%.17g" % x for x in row])
+            for row in np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist()]
+    text = trajectory_csv_text(traj)
+    assert text.splitlines() == [
+        "t, phi_a_1, phi_b_1, phi_a_2, phi_b_2, sum_phase_1, sum_phase_2", *rows]
+    assert text == reference_trajectory_csv_text(traj)
+    assert text.splitlines()[2].split(", ")[1] == "-0"
+    assert trajectory_csv_text(traj, column_texts(traj.times)) == text
+    path = tmp_path / "traj.csv"
+    save_trajectory(str(path), traj, column_texts(traj.times))
+    assert path.read_text() == text
+    with pytest.raises(ValueError, match="7 time texts for 8 samples"):
+        trajectory_csv_text(traj, column_texts(traj.times[1:]))
+
+
+@pytest.mark.parametrize("generator", ["X", "Y", "Z"])
+@pytest.mark.parametrize("grid", ["default", "signed-zero offsets", "remainder step"])
+def test_portrait_files_equal_the_per_row_reference(tmp_path, capsys, generator, grid):
+    out = tmp_path / "plots"
+    options = {"default": [], "signed-zero offsets": ["--offsets=-0.0,0,3.14159"],
+               "remainder step": ["--t-final", "2.005"]}[grid]
+    assert main(["portrait", "--generator", generator, "--out-dir", str(out), *options]) == 0
+    capsys.readouterr()
+    offsets = (-0.0, 0.0, 3.14159) if grid == "signed-zero offsets" else DEFAULT_OFFSETS
+    spec = FlowSpec(generator, 1, 2.005 if grid == "remainder step" else 10.0, 0.01)
+    starts = [(sigma0, delta0) for sigma0 in offsets for delta0 in DEFAULT_DELTAS]
+    assert len(list(out.glob("*.csv"))) == len(starts)
+    moving = set()
+    for idx, (sigma0, delta0) in enumerate(starts):
+        traj = integrate_flow(spec, TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0))))
+        moving.add(bool(np.ptp(traj.phases, axis=0).any()))
+        path = out / f"portrait_{generator.lower()}_{idx:02d}.csv"
+        assert path.read_bytes() == reference_trajectory_csv_text(traj).encode()
+    if generator == "X":  # the X grid holds stationary and moving curves
+        assert moving == {False, True}
 
 
 # -- writers ----------------------------------------------------------

@@ -112,7 +112,7 @@ def _checked_term_bound(circuit, state: HoloState, form: str) -> tuple[int, int]
     the cap is refused with exit 2, by the same rule for simulate and diff.
     """
     n, v = circuit.nqubits, state.vector
-    terms = len(state.amplitudes) if v is None else np.count_nonzero(v)  # builds no map
+    terms = len(state.indexed) if v is None else np.count_nonzero(v)  # builds no map
     bound, cap = sparse_term_bound(circuit, terms), sparse_cap(n)
     if bound > cap and not fits_dense(n):
         raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
@@ -136,11 +136,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _indexed(state: HoloState) -> dict[int, complex]:
-    """The state's amplitudes keyed by index, the bit string read as binary."""
-    return {int(bits, 2): amp for bits, amp in state.amplitudes.items()}
-
-
 def cmd_diff(args) -> int:
     circuit = load_circuit(args.circuit)
     state = _load_state_checked(args.state)
@@ -148,8 +143,8 @@ def cmd_diff(args) -> int:
     bound, cap = _checked_term_bound(circuit, state, "the sparse oracle")
     holo_out = run_circuit_holo(circuit, state)
     if bound <= cap:
-        deviation = compare_states(run_circuit_sparse(circuit, _indexed(state)),
-                                   _indexed(holo_out))
+        deviation = compare_states(run_circuit_sparse(circuit, state.indexed),
+                                   holo_out.indexed)
     else:
         matrix_out = run_circuit_matrix(circuit, StateVector(state.to_vector()))
         deviation = compare_states(matrix_out, holo_out.to_vector())

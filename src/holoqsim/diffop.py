@@ -42,8 +42,9 @@ of the kinds without parameters are cached per kind.  A CU block is linear
 in the Pauli components of its u, so the five blocks of P0_c and of P1_c
 times 1, X, Y, Z on the target are derived once and each CU block is
 their weighted sum.  `apply_gate` reads that one cache for both forms
-of a HoloState.  A map form is folded as a dict keyed by each label read
-as a big-endian integer (qubit q is bit N - q).  A key's gate bits select
+of a HoloState.  A map form is folded on its keys, `HoloState.indexed`,
+each a label read as a big-endian integer (qubit q is bit N - q), so a
+run parses and formats no label.  A key's gate bits select
 a block column, whose nonzero entries are read into a table once per kind
 and once per CU gate; each output key is the input key with the row's bits
 put in, so a gate costs a few integer operations per stored term and row,
@@ -51,7 +52,7 @@ whatever N is.  X, Y, Z, SWAP, CNOT and CZ move each term alone to a new
 key times 1, -1, 1j or -1j, so no prune at ZERO_TOL follows them.  A
 vector form's 2^N array is contracted with the block as a [2]*N tensor,
 which `run_circuit_holo` moves to at a measured crossover.  The dict is
-checked as a HoloState, labels and all, once per run (per gate in
+checked by `HoloState.from_indexed` once per run (per gate in
 `apply_gate`).  That is safe because every key is a checked key with block
 rows put in, and every block was checked by `from_poly` when it was
 derived; a non-finite value, from an unnormalized start that overflows,
@@ -78,6 +79,7 @@ from .holostate import (
     HoloState,
     SparsePoly,
     TermMap,
+    _check_qubit,
     a_index,
     b_index,
     encode_basis,
@@ -207,6 +209,7 @@ class Substitution:
     @classmethod
     def hadamard(cls, nqubits: int, qubit: int) -> "Substitution":
         """z_a -> (z_a + z_b)/sqrt(2), z_b -> (z_a - z_b)/sqrt(2) on one pair."""
+        _check_qubit(qubit, nqubits)
         m = np.eye(2 * nqubits, dtype=complex)
         ia, ib = a_index(qubit), b_index(qubit)
         m[ia, ia] = m[ia, ib] = m[ib, ia] = 1.0 / _SQRT2
@@ -216,6 +219,8 @@ class Substitution:
     @classmethod
     def swap(cls, nqubits: int, qubit1: int, qubit2: int) -> "Substitution":
         """Exchange the (z_a, z_b) pairs of two qubits."""
+        _check_qubit(qubit1, nqubits)
+        _check_qubit(qubit2, nqubits)
         if qubit1 == qubit2:
             raise ValueError("SWAP needs two distinct qubits")
         m = np.eye(2 * nqubits, dtype=complex)
@@ -317,18 +322,21 @@ class Circuit:
 
 
 def pauli_x(nqubits: int, qubit: int) -> DiffOperator:
+    _check_qubit(qubit, nqubits)
     ia, ib = a_index(qubit), b_index(qubit)
     return (DiffOperator.z_times_d(nqubits, ia, ib)
             + DiffOperator.z_times_d(nqubits, ib, ia))
 
 
 def pauli_y(nqubits: int, qubit: int) -> DiffOperator:
+    _check_qubit(qubit, nqubits)
     ia, ib = a_index(qubit), b_index(qubit)
     return (DiffOperator.z_times_d(nqubits, ia, ib, -1j)
             + DiffOperator.z_times_d(nqubits, ib, ia, 1j))
 
 
 def pauli_z(nqubits: int, qubit: int) -> DiffOperator:
+    _check_qubit(qubit, nqubits)
     ia, ib = a_index(qubit), b_index(qubit)
     return (DiffOperator.z_times_d(nqubits, ia, ia)
             + DiffOperator.z_times_d(nqubits, ib, ib, -1.0))
@@ -483,8 +491,8 @@ def derive_block(op: DiffOperator | Substitution) -> GateBlock:
     block = np.zeros((2 ** k, 2 ** k), dtype=complex)
     for col in range(2 ** k):
         image = from_poly(apply(op, encode_basis(format(col, f"0{k}b"))))
-        for bits, amp in image.amplitudes.items():
-            block[int(bits, 2), col] = amp
+        for row, amp in image.indexed.items():
+            block[row, col] = amp
     block.flags.writeable = False
     return block
 
@@ -567,11 +575,6 @@ def _apply_sparse(table: LocalTable, shifts: list[int],
     return out if permutes else {k: c for k, c in out.items() if not abs(c) <= ZERO_TOL}
 
 
-def _labelled(n: int, amplitudes: dict[int, complex]) -> dict[str, complex]:
-    """A key map with its keys as labels, in its order."""
-    return {format(k, f"0{n}b"): c for k, c in amplitudes.items()}
-
-
 def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> np.ndarray:
     """Contract the block with the gate's axes of a [2]*N tensor; returns a view, unflattened.
 
@@ -623,7 +626,7 @@ def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
     if state.vector is not None and np.count_nonzero(state.vector) >= dense_from:
         amps, tensor = None, state.vector.reshape((2,) * n)
     else:  # the checked start; the gates replace it
-        amps, tensor = {int(bits, 2): c for bits, c in state.amplitudes.items()}, None
+        amps, tensor = state.indexed, None
     for gate in circuit.gates:  # Circuit has checked every qubit against n
         if tensor is None:
             if len(amps) < dense_from:
@@ -632,9 +635,9 @@ def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
             tensor = np.zeros((2,) * n, dtype=complex)
             tensor.reshape(-1)[list(amps)] = list(amps.values())
             if not np.isfinite(tensor).all():  # refused as HoloState refuses, in map order
-                HoloState(n, _labelled(n, amps))
+                HoloState.from_indexed(n, amps)
         tensor = _apply_dense(gate_block(gate), [q - 1 for q in gate.qubits], tensor)
-    return HoloState(n, _labelled(n, amps)) if tensor is None else HoloState(n, tensor.reshape(-1))
+    return HoloState.from_indexed(n, amps) if tensor is None else HoloState(n, tensor.reshape(-1))
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -28,11 +28,11 @@ once per call, to the bytes of one "%.17g" per entry.
 
 The loaders check only JSON shape; HoloState checks labels and values and
 GateSpec kinds, qubits and blocks, and their refusals become FormatErrors
-that name the file.  A state of at least diffop.dense_crossover(N)
-amplitudes whose labels ascend, as in every file holoqsim writes, is read
-into HoloState's vector form, which refuses in the map's order with its
-messages.  Unsorted files stay maps: a vector's norm sums in index order,
-a map's in file order, and the printed norm's last digits follow it.
+that name the file.  HoloState parses labels to indices, which the state
+writer formats back.  A state of at least diffop.dense_crossover(N)
+amplitudes whose kept labels ascend, as in every file holoqsim writes, is
+then moved into the vector form.  Unsorted files stay maps: a vector's
+norm sums in index order, a map's in file order, and so do the last digits.
 Every float writer (states, circuits, reports, CSV rows) prints a float as
 "%.17g", so values round-trip exactly: -0.0 prints as "-0", which the
 loaders read back as -0.0.  Every writer goes through an atomic
@@ -179,37 +179,25 @@ def _complex_pair(pair, where: str, what: str, *args) -> complex:
         raise FormatError(f"{where}: {what % args} is too large for a float") from None
 
 
-def _dense_vector(amps: dict[str, complex], nqubits: int) -> np.ndarray | None:
-    """The 2^N vector of amplitudes whose labels are nqubits-bit strings in ascending order.
-
-    None for any other labels: the map path reads them and names the first
-    bad one.  Labels of one length and of 0s and 1s sort as their indices.
-    """
-    labels = list(amps)
-    text = "".join(labels)
-    if ({*map(len, labels)} != {nqubits} or text.count("0") + text.count("1") != len(text)
-            or labels != sorted(labels)):
-        return None
-    vector = np.zeros(2 ** nqubits, dtype=complex)
-    vector[[int(bits, 2) for bits in labels]] = list(amps.values())
-    return vector
-
-
 def _state_from_amplitudes(obj, nqubits: int, where: str) -> HoloState:
     """The HoloState of an amplitudes object; HoloState checks labels and values.
 
     Every pair is checked, in file order, before any label; then labels and
-    values, entry by entry in file order, in either form.
+    values, entry by entry in file order, as a map, moved to the vector form
+    if it has at least dense_crossover(N) entries and its kept keys ascend.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: amplitudes must be an object")
     amps = {bits: _complex_pair(pair, where, "amplitude of %r", bits)
             for bits, pair in obj.items()}
-    vector = _dense_vector(amps, nqubits) if len(amps) >= dense_crossover(nqubits) else None
     try:
-        return HoloState(nqubits, amps if vector is None else vector)
+        state = HoloState(nqubits, amps)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}")
+    keys = state.indexed.keys()
+    if len(amps) >= dense_crossover(nqubits) and list(keys) == sorted(keys):
+        return HoloState(nqubits, state.to_vector())
+    return state
 
 
 def _register_size(doc, key: str, where: str) -> int:
@@ -233,16 +221,13 @@ def load_state(path: str) -> HoloState:
 def state_text(state: HoloState) -> str:
     """The state file, amplitudes in label order, in dump_json_text's layout.
 
-    A vector form is read at its nonzero indices, whose order is label order.
+    A map form is sorted by index; a vector form is read in index order.
     """
-    n, v = state.nqubits, state.vector
-    if v is None:
-        items = sorted(state.amplitudes.items())
-    else:
-        index = np.flatnonzero(v)
-        items = zip([format(k, f"0{n}b") for k in index.tolist()], v[index].tolist())
-    amps = ",\n".join(['    "%s": [%.17g, %.17g]' % (bits, amp.real, amp.imag)
-                       for bits, amp in items])
+    items, label = state.indexed.items(), f"0{state.nqubits}b"
+    if state.vector is None:
+        items = sorted(items)
+    amps = ",\n".join(['    "%s": [%.17g, %.17g]' % (format(k, label), amp.real, amp.imag)
+                       for k, amp in items])
     amps = "{\n" + amps + "\n  }" if amps else "{}"
     return '{\n  "n": %d,\n  "amplitudes": %s\n}\n' % (state.nqubits, amps)
 

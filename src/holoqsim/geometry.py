@@ -101,8 +101,8 @@ def fidelity(psi: HoloState, phi: HoloState) -> float:
         raise ValueError("register mismatch")
     _require_normalized(psi, "psi")
     _require_normalized(phi, "phi")
-    olap = sum(psi.amplitudes[b].conjugate() * phi.amplitudes[b]
-               for b in psi.amplitudes.keys() & phi.amplitudes.keys())
+    a, b = psi.indexed, phi.indexed
+    olap = sum(c.conjugate() * b[k] for k, c in a.items() if k in b)
     return abs(olap) ** 2
 
 

@@ -16,7 +16,9 @@ That degree-one condition is what makes a polynomial "physical" here, and
 Variables are indexed 0..2N-1 with a_j at 2*(j-1) and b_j at 2*(j-1)+1
 for qubits j = 1..N.  Bit strings are big-endian: qubit 1 is the leftmost
 character, so "01" means qubit 1 in 0 and qubit 2 in 1, and the string
-read as a binary integer is the index into a flat amplitude vector.
+read as a binary integer is the index into a flat amplitude vector and
+the key of a HoloState's map.  A label is parsed once, where a state is
+built from labels, and formatted only where text is made.
 
 The inner product is the Gaussian (Bargmann) one, under which monomials
 are orthogonal with ||z^e||^2 = prod_k e_k!.  On physical polynomials all
@@ -269,45 +271,65 @@ def prune_amplitudes(v: np.ndarray) -> np.ndarray:
 class HoloState:
     """An N-qubit state, the decoded form of a physical polynomial: a map or a vector.
 
-    The map is bit string -> amplitude, checked and pruned at ZERO_TOL on
-    construction.  A vector form keeps `prune_amplitudes` of a complex 2^N
-    array, index = bit string as binary, as its own read-only copy in `vector`
-    (None for a map); the caller's array is left as it was.  Both forms read
-    the same, through `amplitudes`.  A vector's map and `is_normalized` are
-    cached on first use.
+    The map is basis index -> amplitude, index = bit string as binary, checked
+    and pruned at ZERO_TOL on construction.  A vector form keeps
+    `prune_amplitudes` of a complex 2^N array as its own read-only copy in
+    `vector` (None for a map); the caller's array is left as it was.  Both
+    forms read the same, through `indexed`, and by label through `amplitudes`,
+    which is cached on first use, as `is_normalized` is.
     """
 
-    __slots__ = ("nqubits", "vector", "_amplitudes", "_is_normalized")
+    __slots__ = ("nqubits", "vector", "_indexed", "_amplitudes", "_is_normalized")
 
     def __init__(self, nqubits: int, amplitudes: dict[str, complex] | np.ndarray):
         if nqubits < 1:
             raise ValueError(f"nqubits must be >= 1, got {nqubits}")
-        self.nqubits, self._is_normalized = nqubits, None
+        self.nqubits, self._amplitudes, self._is_normalized = nqubits, None, None
         if isinstance(amplitudes, np.ndarray):
             if amplitudes.shape != (2 ** nqubits,) or amplitudes.dtype != complex:
                 raise ValueError(f"{nqubits}-qubit vector must be complex of length {2 ** nqubits}")
-            self.vector, self._amplitudes = prune_amplitudes(amplitudes), None
+            self.vector, self._indexed = prune_amplitudes(amplitudes), None
             self.vector.flags.writeable = False
             return
-        clean: dict[str, complex] = {}
+        self.vector, self._indexed = None, {}
+        clean = self._indexed  # checked inline, not by call: dense files load through this loop
         for bits, amp in amplitudes.items():
             if not isinstance(bits, str) or len(bits) != nqubits or bits.strip("01"):
-                raise ValueError(
-                    f"bad basis label {bits!r} for {nqubits} qubit(s)")
+                raise ValueError(f"bad basis label {bits!r} for {nqubits} qubit(s)")
             c = complex(amp)
             if not cmath.isfinite(c):
                 raise ValueError(f"amplitude of {bits!r} is not finite: {c}")
             if abs(c) > ZERO_TOL:
-                clean[bits] = c
-        self.vector, self._amplitudes = None, clean
+                clean[int(bits, 2)] = c
+
+    @classmethod
+    def from_indexed(cls, nqubits: int, amplitudes: dict[int, complex]) -> "HoloState":
+        """Map form of int keys (not bools) in 0..2^N - 1, checked in map order as labels are."""
+        state = cls(nqubits, {})
+        for k, amp in amplitudes.items():
+            if type(k) is not int or not 0 <= k < 1 << nqubits:
+                raise ValueError(f"bad basis index {k!r} for {nqubits} qubit(s)")
+            c = complex(amp)
+            if not cmath.isfinite(c):
+                raise ValueError(f"amplitude of {format(k, f'0{nqubits}b')!r} is not finite: {c}")
+            if abs(c) > ZERO_TOL:
+                state._indexed[k] = c
+        return state
+
+    @property
+    def indexed(self) -> dict[int, complex]:
+        """Index -> amplitude, read-only: the map, or a vector's nonzeros, built on each read."""
+        if self.vector is None:
+            return self._indexed
+        index = np.flatnonzero(self.vector)
+        return dict(zip(index.tolist(), self.vector[index].tolist()))
 
     @property
     def amplitudes(self) -> dict[str, complex]:
-        """Bit string -> amplitude, in index order for a vector form."""
+        """Bit string -> amplitude, in the order of `indexed`, not to be mutated."""
         if self._amplitudes is None:
-            n, index = self.nqubits, np.flatnonzero(self.vector)
-            self._amplitudes = {format(k, f"0{n}b"): c for k, c in
-                                zip(index.tolist(), self.vector[index].tolist())}
+            label = f"0{self.nqubits}b"
+            self._amplitudes = {format(k, label): c for k, c in self.indexed.items()}
         return self._amplitudes
 
     @property
@@ -318,12 +340,12 @@ class HoloState:
         return self._is_normalized
 
     def norm(self) -> float:
-        """2-norm of the amplitudes; inf when a square overflows a float.
+        """2-norm of the amplitudes, summed in map order; inf when a square overflows a float.
 
-        A vector form sums its nonzero entries in the map's order, without building the map.
+        A vector form sums its nonzero entries in index order, without building a map.
         """
-        amps, v = self._amplitudes, self.vector
-        values = v[np.flatnonzero(v)].tolist() if amps is None else amps.values()
+        v = self.vector
+        values = self._indexed.values() if v is None else v[np.flatnonzero(v)].tolist()
         try:
             return math.sqrt(sum(abs(c) ** 2 for c in values))
         except OverflowError:
@@ -343,14 +365,13 @@ class HoloState:
         if self.vector is not None:
             return self.vector.copy()
         v = np.zeros(2 ** self.nqubits, dtype=complex)
-        for bits, amp in self.amplitudes.items():
-            v[int(bits, 2)] = amp
+        v[list(self._indexed)] = list(self._indexed.values())
         return v
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HoloState):
             return NotImplemented
-        return self.nqubits == other.nqubits and self.amplitudes == other.amplitudes
+        return self.nqubits == other.nqubits and self.indexed == other.indexed
 
     def __repr__(self) -> str:
         amps = ", ".join(f"|{b}>: {c:.6g}" for b, c in sorted(self.amplitudes.items()))
@@ -399,19 +420,16 @@ def to_poly(state: HoloState) -> SparsePoly:
     return SparsePoly(state.nqubits, terms)
 
 
-def _exponents_to_bits(expo: tuple[int, ...], nqubits: int) -> str:
-    bits = []
+def _exponents_to_index(expo: tuple[int, ...], nqubits: int) -> int:
+    k = 0
     for j in range(1, nqubits + 1):
         ea, eb = expo[a_index(j)], expo[b_index(j)]
-        if (ea, eb) == (1, 0):
-            bits.append("0")
-        elif (ea, eb) == (0, 1):
-            bits.append("1")
-        else:
+        if (ea, eb) not in ((1, 0), (0, 1)):
             raise NonPhysicalPolynomialError(
                 f"monomial with exponents {expo} is not one-hot on qubit {j}: "
                 f"pair degrees ({ea}, {eb})")
-    return "".join(bits)
+        k = k << 1 | eb
+    return k
 
 
 def from_poly(poly: SparsePoly) -> HoloState:
@@ -422,10 +440,9 @@ def from_poly(poly: SparsePoly) -> HoloState:
     z_a^2, a mixed z_a z_b factor) names the offending exponent tuple in a
     NonPhysicalPolynomialError.
     """
-    amps: dict[str, complex] = {}
-    for expo, coeff in poly.terms.items():
-        amps[_exponents_to_bits(expo, poly.nqubits)] = coeff
-    return HoloState(poly.nqubits, amps)
+    n = poly.nqubits
+    return HoloState.from_indexed(n, {_exponents_to_index(expo, n): coeff
+                                      for expo, coeff in poly.terms.items()})
 
 
 def check_homogeneity(poly: SparsePoly, qubit: int) -> bool:

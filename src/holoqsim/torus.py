@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .holostate import _check_qubit
+
 TWO_PI = 2.0 * math.pi
 
 GENERATORS = ("X", "Y", "Z")
@@ -121,7 +123,7 @@ class TorusPoint:
         return len(self.phases) // 2
 
     def pair(self, qubit: int) -> tuple[float, float]:
-        self._check(qubit)
+        _check_qubit(qubit, self.nqubits)
         return self.phases[2 * (qubit - 1)], self.phases[2 * (qubit - 1) + 1]
 
     def delta(self, qubit: int) -> float:
@@ -133,10 +135,6 @@ class TorusPoint:
         """Pair sum phi_a + phi_b of a qubit (of the stored representatives)."""
         pa, pb = self.pair(qubit)
         return pa + pb
-
-    def _check(self, qubit: int) -> None:
-        if not 1 <= qubit <= self.nqubits:
-            raise ValueError(f"qubit index {qubit} out of range 1..{self.nqubits}")
 
     def distance(self, other: "TorusPoint") -> float:
         """Max over coordinates of the circular distance."""
@@ -249,6 +247,7 @@ class Trajectory:
 
     def sum_drift(self, qubit: int) -> float:
         """Max |sum(t) - sum(0)| of a qubit pair over the whole trajectory."""
+        _check_qubit(qubit, self.nqubits)
         col = self.sum_phases[:, qubit - 1]
         return float(np.max(np.abs(col - col[0])))
 
@@ -262,7 +261,7 @@ def integrate_flow(spec: FlowSpec, start: TorusPoint) -> Trajectory:
     A step that returns its input pair bitwise would return it again, so
     the pair is repeated over the later steps of the same size.
     """
-    start._check(spec.qubit)
+    _check_qubit(spec.qubit, start.nqubits)
     times, steps = fixed_steps(spec.t_final, spec.dt)
     field = PAIR_FIELDS[spec.generator]
     ja = 2 * (spec.qubit - 1)
@@ -395,8 +394,8 @@ def swap_torus(point: TorusPoint, qubit1: int, qubit2: int) -> TorusPoint:
     """Exchange the phase pairs of two qubits (an involution, det -1 per pair)."""
     if qubit1 == qubit2:
         raise ValueError("swap needs two distinct qubits")
-    point._check(qubit1)
-    point._check(qubit2)
+    _check_qubit(qubit1, point.nqubits)
+    _check_qubit(qubit2, point.nqubits)
     phases = list(point.phases)
     i, j = 2 * (qubit1 - 1), 2 * (qubit2 - 1)
     phases[i], phases[i + 1], phases[j], phases[j + 1] = \

@@ -360,6 +360,23 @@ def test_circuit_rejects_out_of_range_qubits():
         Circuit(1, (GateSpec("X", (2,)),))
 
 
+@pytest.mark.parametrize("qubit", [0, -1, 3])
+def test_builders_refuse_qubits_outside_the_register(qubit):
+    n, message = 2, f"qubit index {qubit} out of range 1..2"
+    builders = [lambda: pauli_x(n, qubit), lambda: pauli_y(n, qubit), lambda: pauli_z(n, qubit),
+                lambda: hadamard_op(n, qubit), lambda: Substitution.hadamard(n, qubit),
+                lambda: Substitution.swap(n, 1, qubit), lambda: Substitution.swap(n, qubit, 2),
+                lambda: cnot_op(qubit, 2, n), lambda: cz_op(2, qubit, n),
+                lambda: swap_op(qubit, 1, n), lambda: controlled_u(1, qubit, X_MAT, n)]
+    if qubit > 0:  # GateSpec itself refuses qubits below 1
+        builders += [lambda: gate_operator(GateSpec("X", (qubit,)), n),
+                     lambda: gate_operator(GateSpec("SWAP", (1, qubit)), n)]
+    for build in builders:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_gate_operator_default_forms():
     assert isinstance(gate_operator(GateSpec("H", (1,)), 1), Substitution)
     assert isinstance(gate_operator(GateSpec("SWAP", (1, 2)), 2), Substitution)

@@ -214,6 +214,40 @@ def test_map_and_vector_forms_of_one_state_read_the_same():
     assert vector_form.norm() == map_form.norm()
     assert vector_form.to_vector().tobytes() == map_form.to_vector().tobytes()
     assert repr(vector_form) == repr(map_form)
+    hexed = [[(k, c.real.hex(), c.imag.hex()) for k, c in state.indexed.items()]
+             for state in (vector_form, map_form)]
+    assert hexed[0] == hexed[1]
+    assert [k for k, _, _ in hexed[0]] == [k for k in range(64) if k not in (3, 9, 17)]
+    signed = {k: (re, im) for k, re, im in hexed[0]}
+    assert signed[20][1] == signed[40][0] == (-0.0).hex()
+
+
+def test_label_view_is_built_on_first_read_in_map_order():
+    state = HoloState(3, {"110": 0.5j, "001": 1e-15, "000": -0.5, "101": complex(-0.0, 0.5)})
+    assert state._amplitudes is None
+    assert list(state.indexed.items()) == [(6, 0.5j), (0, -0.5), (5, complex(-0.0, 0.5))]
+    assert state._amplitudes is None and state.norm() == 0.8660254037844386
+    assert state._amplitudes is None
+    assert list(state.amplitudes.items()) == [("110", 0.5j), ("000", -0.5),
+                                              ("101", complex(-0.0, 0.5))]
+    assert state.amplitudes is state._amplitudes
+
+
+def test_from_indexed_checks_keys_and_values_as_labels_are_checked():
+    state = HoloState.from_indexed(2, {3: 1.0, 1: 1e-15, 0: -0.0, 2: 0.5j})
+    assert state == HoloState(2, {"11": 1.0, "01": 1e-15, "00": -0.0, "10": 0.5j})
+    assert list(state.indexed) == [3, 2] and state._amplitudes is None
+    with pytest.raises(ValueError) as by_label:
+        HoloState(4, {"0000": 1.0, "0101": complex(math.inf, 0.0)})
+    with pytest.raises(ValueError) as by_index:
+        HoloState.from_indexed(4, {0: 1.0, 5: complex(math.inf, 0.0)})
+    assert str(by_index.value) == str(by_label.value)
+    assert str(by_index.value) == "amplitude of '0101' is not finite: (inf+0j)"
+    for key in (True, False, -1, 16, 1 << 70, 2.0, "0001", np.int64(1)):
+        with pytest.raises(ValueError, match=r"^bad basis index .* for 4 qubit\(s\)$"):
+            HoloState.from_indexed(4, {key: 1.0})
+    with pytest.raises(ValueError, match="^bad basis index 16 for 4"):  # map order: key first
+        HoloState.from_indexed(4, {16: math.nan})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])

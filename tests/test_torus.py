@@ -188,6 +188,13 @@ def test_sum_phase_conserved_all_generators():
             assert traj.sum_drift(1) <= 1e-8, (gen, start.phases)
 
 
+@pytest.mark.parametrize("qubit", [0, -1, 3])
+def test_sum_drift_refuses_qubits_outside_the_register(qubit):
+    traj = integrate_flow(FlowSpec("X", 1, 0.1, 1e-2), TorusPoint((0.3, 0.4, 1.0, 2.0)))
+    with pytest.raises(ValueError, match=rf"^qubit index {qubit} out of range 1\.\.2$"):
+        traj.sum_drift(qubit)
+
+
 def test_rk4_fourth_order_convergence():
     start = TorusPoint((0.7, 0.1))
     ref = integrate_flow(FlowSpec("Y", 1, 1.0, 1e-5), start).phases[-1]

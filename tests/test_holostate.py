@@ -224,9 +224,8 @@ def test_map_and_vector_forms_of_one_state_read_the_same():
 
 def test_label_view_is_built_on_first_read_in_map_order():
     state = HoloState(3, {"110": 0.5j, "001": 1e-15, "000": -0.5, "101": complex(-0.0, 0.5)})
-    assert state._amplitudes is None
     assert list(state.indexed.items()) == [(6, 0.5j), (0, -0.5), (5, complex(-0.0, 0.5))]
-    assert state._amplitudes is None and state.norm() == 0.8660254037844386
+    assert state.norm() == 0.8660254037844386 and state == HoloState.from_indexed(3, state.indexed)
     assert state._amplitudes is None
     assert list(state.amplitudes.items()) == [("110", 0.5j), ("000", -0.5),
                                               ("101", complex(-0.0, 0.5))]

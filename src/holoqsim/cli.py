@@ -272,8 +272,12 @@ def cmd_classical_evolve(args) -> int:
         energies, norms = ham.energy(zs), norm_rows(zs)
     if not (np.isfinite(energies).all() and np.isfinite(norms).all()):
         raise CliError("--z0 is too large: the energy or norm of its flow overflows a float")
-    rows = ([t, *z.view(float).tolist(), energy, norm] for t, z, energy, norm in zip(
-        times, zs, energies.tolist(), norms.tolist()))
+    # Rows are made into lists a block at a time, so they stream to csv_text, and
+    # the table lives only as long as the generator does.
+    block = 128
+    rows = (row for part in np.split(np.column_stack((times, zs.view(float), energies, norms)),
+                                     range(block, len(times), block))
+            for row in part.tolist())
     atomic_write_text(args.out, csv_text(cols, rows))
     print(f"wrote {args.out}")
     print(f"samples: {len(times)}")

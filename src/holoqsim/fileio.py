@@ -30,9 +30,12 @@ The loaders check only JSON shape; HoloState checks labels and values and
 GateSpec kinds, qubits and blocks, and their refusals become FormatErrors
 that name the file.  HoloState parses labels to indices, which the state
 writer formats back.  A state of at least diffop.dense_crossover(N)
-amplitudes whose kept labels ascend, as in every file holoqsim writes, is
-then moved into the vector form.  Unsorted files stay maps: a vector's
-norm sums in index order, a map's in file order, and so do the last digits.
+amplitudes is first checked as arrays (its pairs here, its labels by
+holostate.basis_indices); if all pass and the labels ascend, as in every
+file holoqsim writes, it is read straight into the vector form.  Any other
+state is checked entry by entry, which names the first bad entry, and
+loads as a map.  Unsorted files stay maps: a vector's norm sums in index
+order, a map's in file order, and so do the last digits.
 Every float writer (states, circuits, reports, CSV rows) prints a float as
 "%.17g", so values round-trip exactly: -0.0 prints as "-0", which the
 loaders read back as -0.0.  Every writer goes through an atomic
@@ -45,12 +48,13 @@ import contextlib
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
 from .diffop import Circuit, GateSpec, dense_crossover
 from .geometry import StateLoop
-from .holostate import HoloState, require_dense
+from .holostate import HoloState, basis_indices, require_dense
 from .torus import Trajectory
 
 
@@ -160,7 +164,7 @@ def dump_json_text(obj) -> str:
 
 # What json makes of a JSON number.  Pairs test the exact type, so a bool,
 # which is an int subclass, is refused.
-_JSON_NUMBERS = (int, float)
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _complex_pair(pair, where: str, what: str, *args) -> complex:
@@ -179,25 +183,51 @@ def _complex_pair(pair, where: str, what: str, *args) -> complex:
         raise FormatError(f"{where}: {what % args} is too large for a float") from None
 
 
+def _ascending_vector(obj: dict, nqubits: int) -> np.ndarray | None:
+    """The 2^N vector of an amplitudes object, checked as arrays, or None.
+
+    None unless every value is a pair that _complex_pair takes, every key is
+    a basis label and the labels ascend; the per-entry path then names the
+    first bad entry, or keeps an unsorted file a map.
+    """
+    pairs = list(obj.values())
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= _JSON_NUMBERS:
+        return None
+    index = basis_indices(obj, nqubits)
+    if index is None or (index[1:] <= index[:-1]).any():
+        return None
+    try:
+        values = np.array(numbers, dtype=float).view(complex)
+    except OverflowError:  # an integer too large for a float
+        return None
+    vector = np.zeros(2 ** nqubits, dtype=complex)
+    vector[index] = values
+    return vector
+
+
 def _state_from_amplitudes(obj, nqubits: int, where: str) -> HoloState:
     """The HoloState of an amplitudes object; HoloState checks labels and values.
 
-    Every pair is checked, in file order, before any label; then labels and
-    values, entry by entry in file order, as a map, moved to the vector form
-    if it has at least dense_crossover(N) entries and its kept keys ascend.
+    An object of at least dense_crossover(N) entries whose pairs and labels
+    pass as arrays and whose labels ascend is read straight into the vector
+    form, and its first non-finite entry in index order, which is file order,
+    is named.  Any other object takes the per-entry path: every pair is
+    checked, in file order, before any label; then labels and values, entry
+    by entry in file order, as a map.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: amplitudes must be an object")
-    amps = {bits: _complex_pair(pair, where, "amplitude of %r", bits)
-            for bits, pair in obj.items()}
+    amps = _ascending_vector(obj, nqubits) if len(obj) >= dense_crossover(nqubits) else None
+    if amps is None:
+        amps = {bits: _complex_pair(pair, where, "amplitude of %r", bits)
+                for bits, pair in obj.items()}
     try:
-        state = HoloState(nqubits, amps)
+        return HoloState(nqubits, amps)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}")
-    keys = state.indexed.keys()
-    if len(amps) >= dense_crossover(nqubits) and list(keys) == sorted(keys):
-        return HoloState(nqubits, state.to_vector())
-    return state
 
 
 def _register_size(doc, key: str, where: str) -> int:

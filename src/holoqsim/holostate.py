@@ -268,6 +268,25 @@ def prune_amplitudes(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) > ZERO_TOL, v, 0j)
 
 
+def basis_indices(labels, nqubits: int) -> np.ndarray | None:
+    """The indices of basis labels, in their order; None when any is not an N-bit label.
+
+    The bulk form of HoloState's label check and parse, for a register that
+    fits dense arrays: a label is an nqubits-character string of ASCII 0s and
+    1s.  The characters are counted, not handed to int(bits, 2), which would
+    also read "1_11", " 011", "+011" and non-ASCII digits.
+    """
+    require_dense(nqubits)
+    labels = list(labels)
+    if set(map(type, labels)) != {str} or set(map(len, labels)) != {nqubits}:
+        return None
+    joined = "".join(labels)
+    if joined.count("0") + joined.count("1") != len(joined):
+        return None
+    bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, nqubits) & 1
+    return bits @ (1 << np.arange(nqubits - 1, -1, -1))
+
+
 class HoloState:
     """An N-qubit state, the decoded form of a physical polynomial: a map or a vector.
 

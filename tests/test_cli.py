@@ -350,6 +350,18 @@ DENSE_FILE_REFUSALS = {
                            "amplitude of '0011' is not finite: (nan+0j)"),
     "bad-label-then-nan": ({3: ("0x11", None), 9: (None, "[NaN, 0]")},
                            "bad basis label '0x11' for 4 qubit(s)"),
+    # Files the bulk pass must hand to the per-entry path: bad pairs at either
+    # end and of other types, and labels int(bits, 2) reads as 5, in order.
+    "first-pair": ({0: (None, "[1]")}, "amplitude of '0000' must be a [real, imag] pair"),
+    "last-pair": ({15: (None, "[1, 0, 0]")},
+                  "amplitude of '1111' must be a [real, imag] pair"),
+    "string-pair": ({7: (None, '["1", 0]')}, "amplitude of '0111' must be a [real, imag] pair"),
+    "null-pair": ({7: (None, "[null, 0]")}, "amplitude of '0111' must be a [real, imag] pair"),
+    "nested-pair": ({7: (None, "[[1], 0]")}, "amplitude of '0111' must be a [real, imag] pair"),
+    "arabic-indic-label": ({5: (r"\u0660\u0661\u0660\u0661", None)},  # JSON escapes
+                           "bad basis label '\u0660\u0661\u0660\u0661' for 4 qubit(s)"),
+    "space-label": ({5: (" 101", None)}, "bad basis label ' 101' for 4 qubit(s)"),
+    "plus-label": ({5: ("+101", None)}, "bad basis label '+101' for 4 qubit(s)"),
 }
 
 

@@ -26,8 +26,11 @@ from holoqsim import (
     save_trajectory,
 )
 from holoqsim.cli import DEFAULT_DELTAS, DEFAULT_OFFSETS, main
+from holoqsim.diffop import dense_crossover
 from holoqsim.fileio import (
     FormatError,
+    _complex_pair,
+    _load_json,
     column_texts,
     csv_text,
     dump_json_text,
@@ -223,6 +226,97 @@ def test_short_or_unsorted_dense_files_load_as_maps(tmp_path):
         got = load_state(write(tmp_path, "state.json", text))
         assert (got.vector is not None) == dense
         assert exact_state_items(got) == exact_state_items(map_form(text))
+
+
+def assert_same_state(got, ref):
+    """Items in order and norm by float.hex, and the written text."""
+    assert exact_state_items(got) == exact_state_items(ref)
+    assert got.norm().hex() == ref.norm().hex()
+    assert state_text(got) == state_text(ref)
+
+
+def test_integer_tokens_in_an_ascending_dense_file_read_as_the_map_path_reads_them(tmp_path):
+    # 2^53 + 1 rounds to 2^53 as a float; "-0" is the writers' -0.0.
+    tokens = ["9007199254740993", "-0", "-9007199254740993", "1", "0", "3" * 300]
+    amps = ", ".join(f'"{k:04b}": [{tokens[k % 6]}, {tokens[(k + 1) % 6]}]' for k in range(16))
+    text = '{"n": 4, "amplitudes": {%s}}' % amps
+    got = load_state(write(tmp_path, "ints.json", text))
+    assert got.vector is not None
+    assert_same_state(got, map_form(text))
+
+
+def test_dense_file_unsorted_only_at_a_pruned_entry_loads_as_its_map(tmp_path):
+    entries = [(f"{k:04b}", (0.25, 0.0)) for k in range(16) if k != 9]
+    entries.insert(3, ("1001", (1e-15, 0.0)))
+    text = state_file_text(4, entries)
+    got = load_state(write(tmp_path, "state.json", text))
+    assert got.vector is None  # the labels do not ascend, though the kept ones do
+    assert_same_state(got, map_form(text))
+
+
+def per_entry_load(path):
+    """load_state as the per-entry path reads any file: every pair, then a map."""
+    doc = _load_json(path)
+    amps = {bits: _complex_pair(pair, path, "amplitude of %r", bits)
+            for bits, pair in doc["amplitudes"].items()}
+    try:
+        return HoloState(doc["n"], amps)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+# Values and labels a corrupted entry may take, as JSON text.
+CORRUPT_PAIRS = ["[true, 0]", "[1]", "[1, 0, 0]", '["1", 0]', "[null, 0]", "[[1], 0]", "{}",
+                 "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e999, 0]",
+                 "[1%s, 0]" % ("0" * 400), "[9007199254740993, -0]", "[1e-15, -0.0]", "[0, 0]"]
+CORRUPT_LABELS = ["x", "_", " ", "+", "2", "\\u0660", "\\u0661"]
+
+
+def corrupted_dense_file(rng, n):
+    """An ascending n-qubit file with one to three corruptions, and its entries."""
+    entries = [[f"{k:0{n}b}", json.dumps(p)] for k, p in enumerate(
+        rng.standard_normal((2 ** n, 2)).tolist())]
+    for _ in range(rng.integers(1, 4)):
+        k, kind = int(rng.integers(len(entries))), rng.integers(5)
+        if kind == 0:
+            entries[k][1] = CORRUPT_PAIRS[rng.integers(len(CORRUPT_PAIRS))]
+        elif kind == 1:  # a bad character
+            pos, label = rng.integers(n), entries[k][0]
+            bad = CORRUPT_LABELS[rng.integers(len(CORRUPT_LABELS))]
+            entries[k][0] = label[:pos] + bad + label[pos + 1:]
+        elif kind == 2:  # a label one character short or long
+            entries[k][0] = entries[k][0][1:] if rng.integers(2) else entries[k][0] + "0"
+        elif kind == 3:  # two entries swapped
+            j = int(rng.integers(len(entries)))
+            entries[k], entries[j] = entries[j], entries[k]
+        else:  # entries dropped, below the crossover or not
+            del entries[k:k + int(rng.integers(1, len(entries)))]
+    text = '{"n": %d, "amplitudes": {%s}}' % (n, ", ".join(f'"{b}": {p}' for b, p in entries))
+    return text, entries
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_corrupted_dense_files_load_as_the_per_entry_path_loads_them(tmp_path, n):
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for _ in range(100):
+        text, entries = corrupted_dense_file(rng, n)
+        path = write(tmp_path, "state.json", text)
+        try:
+            ref = per_entry_load(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as err:
+                load_state(path)
+            assert str(err.value) == str(exc)
+            outcomes.add("refused")
+            continue
+        got = load_state(path)
+        labels = [int(bits, 2) for bits, _ in entries]
+        dense = len(entries) >= dense_crossover(n) and labels == sorted(labels)
+        assert (got.vector is not None) == dense
+        assert_same_state(got, ref)
+        outcomes.add("vector" if dense else "map")
+    assert outcomes == {"refused", "vector", "map"}
 
 
 def test_state_rejects_missing_keys(tmp_path):

@@ -20,6 +20,7 @@ from holoqsim import (
     to_poly,
 )
 from holoqsim.fileio import state_text
+from holoqsim.holostate import basis_indices
 
 from _support import random_state_vector
 
@@ -247,6 +248,19 @@ def test_from_indexed_checks_keys_and_values_as_labels_are_checked():
             HoloState.from_indexed(4, {key: 1.0})
     with pytest.raises(ValueError, match="^bad basis index 16 for 4"):  # map order: key first
         HoloState.from_indexed(4, {16: math.nan})
+
+
+def test_basis_indices_read_labels_as_the_label_constructor_does():
+    labels = ["1011", "0000", "1111", "0110"]
+    index = basis_indices(labels, 4)
+    assert index.tolist() == [11, 0, 15, 6]
+    assert list(HoloState(4, dict.fromkeys(labels, 0.5)).indexed) == index.tolist()
+    assert basis_indices(iter(labels), 4).tolist() == index.tolist()
+    # int(bits, 2) reads "1_11" as 7 and the three labels after it as 5.
+    for bad in ("010", "01010", "01x1", "1_11", " 101", "+101", "\u0660\u0661\u0660\u0661", 5):
+        with pytest.raises(ValueError, match="bad basis label"):
+            HoloState(4, {bad: 1.0})
+        assert basis_indices(["0000", bad, "1111"], 4) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])

@@ -39,6 +39,7 @@ from .fileio import (
     save_trajectory,
 )
 from .geometry import (
+    DEFAULT_RESTARTS,
     SEPARABLE_TOL,
     berry_holonomy,
     bloch_circle_loop,
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--tol", type=_tolerance, default=SEPARABLE_TOL)
     p.set_defaults(func=cmd_entanglement)
 

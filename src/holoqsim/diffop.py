@@ -124,9 +124,9 @@ class DiffOperator(TermMap):
         return "*".join(x for x in (format_powers("z", mult), format_powers("d", deriv)) if x)
 
     @classmethod
-    def identity(cls, nqubits: int, coeff: complex = 1.0 + 0j) -> "DiffOperator":
+    def identity(cls, nqubits: int) -> "DiffOperator":
         z = (0,) * (2 * nqubits)
-        return cls(nqubits, {(z, z): coeff})
+        return cls(nqubits, {(z, z): 1.0 + 0j})
 
     @classmethod
     def term(cls, nqubits: int, coeff: complex,
@@ -451,13 +451,11 @@ GateBlock = np.ndarray
 # one-term CU, whose block and table are built per call.  A dense gate, one
 # np.dot, costs 8-15 us at N = 8, 20-52 us at N = 12 and 6.2-8.1 ms at N = 18
 # (all kinds, best of 7 per gate, range over gates and two runs): ~8 us plus
-# ~25 ns per amplitude.  The np.tensordot form it replaced took 22-37 us,
-# 36-81 us and 6.5-7.9 ms in the same runs.  The constants date from ~4 us per
-# sparse term, where dense paid from ~8 + 2^N / 280 terms (N = 8 goes dense
-# from 9 terms, N = 18 from 1 032, and a 16-term state at N = 18 stays
-# sparse).  Today's figures put the break-even near 20 + 2^N / 16 terms; the
-# constants stay until a scaling curve of both paths measures it with its own
-# benchmark pairs.
+# ~25 ns per amplitude.  The constants date from ~4 us per sparse term, where
+# dense paid from ~8 + 2^N / 280 terms (N = 8 goes dense from 9 terms, N = 18
+# from 1 032, and a 16-term state at N = 18 stays sparse).  Today's figures
+# put the break-even near 20 + 2^N / 16 terms; the constants stay until a
+# scaling curve of both paths measures it with its own benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
 
@@ -632,10 +630,7 @@ def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
             if len(amps) < dense_from:
                 amps = _apply_sparse(gate_table(gate), [n - q for q in gate.qubits], amps)
                 continue
-            tensor = np.zeros((2,) * n, dtype=complex)
-            tensor.reshape(-1)[list(amps)] = list(amps.values())
-            if not np.isfinite(tensor).all():  # refused as HoloState refuses, in map order
-                HoloState.from_indexed(n, amps)
+            tensor = HoloState.from_indexed(n, amps).to_vector().reshape((2,) * n)
         tensor = _apply_dense(gate_block(gate), [q - 1 for q in gate.qubits], tensor)
     return HoloState.from_indexed(n, amps) if tensor is None else HoloState(n, tensor.reshape(-1))
 

@@ -361,16 +361,13 @@ def column_texts(values) -> list[str]:
     return [texts[k] for k in inverse.tolist()]
 
 
-def trajectory_csv_text(traj: Trajectory, time_texts: list[str] | None = None) -> str:
+def trajectory_csv_text(traj: Trajectory, time_texts: list[str]) -> str:
     """The trajectory's CSV text, as csv_text would print its rows, column by column.
 
-    time_texts, when given, is column_texts(traj.times), formatted once for
-    trajectories that sample one time grid.
+    time_texts is column_texts(traj.times), formatted once per time grid.
     """
     n = traj.nqubits
-    if time_texts is None:
-        time_texts = column_texts(traj.times)
-    elif len(time_texts) != traj.nsamples:
+    if len(time_texts) != traj.nsamples:  # zip would drop the rows past a short list
         raise ValueError(f"{len(time_texts)} time texts for {traj.nsamples} samples")
     cols = ["t"]
     for j in range(1, n + 1):
@@ -381,5 +378,5 @@ def trajectory_csv_text(traj: Trajectory, time_texts: list[str] | None = None) -
     return "\n".join([", ".join(cols), *map(", ".join, zip(*columns)), ""])
 
 
-def save_trajectory(path: str, traj: Trajectory, time_texts: list[str] | None = None) -> None:
+def save_trajectory(path: str, traj: Trajectory, time_texts: list[str]) -> None:
     atomic_write_text(path, trajectory_csv_text(traj, time_texts))

@@ -199,14 +199,15 @@ def _sweep_plan(f: np.ndarray, suffix_buf: np.ndarray, left_bufs: tuple[np.ndarr
     return builds, steps
 
 
-def _stacked_ascent(conj_vector: np.ndarray, factors: np.ndarray,
-                    max_sweeps: int, gain_tol: float) -> tuple[list[list[float]], list[int]]:
+def _stacked_ascent(conj_vector: np.ndarray,
+                    factors: np.ndarray) -> tuple[list[list[float]], list[int]]:
     """Ascend every restart of the (a, N, 2) stack `factors`, updating it in place.
 
     Returns each restart's overlap after every sweep it ran and its sweep count.
     Every sweep writes its suffixes and left environments into the same
     buffers, so a sweep allocates only its 2-vectors and overlaps.
     """
+    max_sweeps, gain_tol = MAX_SWEEPS, GAIN_TOL  # read once per call, not per step
     stacked, n = factors.shape[:2]
     histories: list[list[float]] = [[] for _ in range(stacked)]
     iterations = [max_sweeps] * stacked
@@ -244,22 +245,20 @@ def _stacked_ascent(conj_vector: np.ndarray, factors: np.ndarray,
             if not len(active):
                 break
             builds, steps = _sweep_plan(f, suffix_buf, left_bufs)
-    factors[active] = f  # the restarts that max_sweeps ended
+    factors[active] = f  # the restarts that MAX_SWEEPS ended
     return histories, iterations
 
 
 def maximize_product_overlap(psi: HoloState,
                              restarts: int = DEFAULT_RESTARTS,
-                             seed: int = 0,
-                             max_sweeps: int = MAX_SWEEPS,
-                             gain_tol: float = GAIN_TOL) -> ProductOverlapResult:
+                             seed: int = 0) -> ProductOverlapResult:
     """Alternating closed-form ascent of |<psi|product>| with seeded restarts.
 
     Restart r starts from factors drawn by default_rng([seed, r]).  The
     restarts advance together as one stacked ascent, in stacks of at most
-    STACK_AMPLITUDES >> N of them; a restart leaves the stack when a sweep
-    gains less than gain_tol, or when max_sweeps end it, and its record
-    holds the sweeps it ran and its overlap after each.
+    STACK_AMPLITUDES >> N of them.  A restart leaves the stack after a sweep
+    that gains less than the module's GAIN_TOL, or after MAX_SWEEPS sweeps,
+    and its record holds the sweeps it ran and its overlap after each.
     Ties between restarts break toward the lower restart index, so results
     are reproducible for a fixed (seed, restarts) pair.  Restarts whose
     overlaps tie to within rounding may pick a different witness after any
@@ -270,12 +269,8 @@ def maximize_product_overlap(psi: HoloState,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"{restarts} restarts exceed MAX_RESTARTS = {MAX_RESTARTS}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (math.isfinite(gain_tol) and gain_tol >= 0.0):
-        raise ValueError(f"gain_tol must be a finite number >= 0, got {gain_tol}")
     _require_normalized(psi, "psi")
     n = psi.nqubits
     conj_vector = psi.to_vector().conj()
@@ -290,7 +285,7 @@ def maximize_product_overlap(psi: HoloState,
     iterations: list[int] = []
     stack = max(1, STACK_AMPLITUDES >> n)
     for lo in range(0, restarts, stack):
-        h, it = _stacked_ascent(conj_vector, factors[lo:lo + stack], max_sweeps, gain_tol)
+        h, it = _stacked_ascent(conj_vector, factors[lo:lo + stack])
         histories += h
         iterations += it
     records = tuple(RestartRecord(r, iterations[r], histories[r][-1], tuple(histories[r]))

@@ -120,14 +120,14 @@ class TermMap:
 
     __slots__ = ("nqubits", "terms")
 
-    def __init__(self, nqubits: int, terms: dict | None = None):
+    def __init__(self, nqubits: int, terms: dict):
         if nqubits < 1:
             raise ValueError(f"nqubits must be >= 1, got {nqubits}")
         self.nqubits = nqubits
         nvars = 2 * nqubits
         check_key = self._check_key
         clean: dict = {}
-        for key, coeff in (terms or {}).items():
+        for key, coeff in terms.items():
             key = check_key(key, nvars)
             c = complex(coeff)
             if not cmath.isfinite(c):
@@ -211,9 +211,8 @@ class SparsePoly(TermMap):
         return cls(nqubits, {(0,) * (2 * nqubits): 1.0 + 0j})
 
     @classmethod
-    def monomial(cls, nqubits: int, exponents: tuple[int, ...],
-                 coeff: complex = 1.0 + 0j) -> "SparsePoly":
-        return cls(nqubits, {tuple(exponents): coeff})
+    def monomial(cls, nqubits: int, exponents: tuple[int, ...]) -> "SparsePoly":
+        return cls(nqubits, {tuple(exponents): 1.0 + 0j})
 
     @classmethod
     def variable(cls, nqubits: int, index: int) -> "SparsePoly":
@@ -311,7 +310,8 @@ class HoloState:
             self.vector.flags.writeable = False
             return
         self.vector, self._indexed = None, {}
-        clean = self._indexed  # checked inline, not by call: dense files load through this loop
+        # Checked inline: state files below the dense crossover, unsorted or failing the bulk pass
+        clean = self._indexed
         for bits, amp in amplitudes.items():
             if not isinstance(bits, str) or len(bits) != nqubits or bits.strip("01"):
                 raise ValueError(f"bad basis label {bits!r} for {nqubits} qubit(s)")
@@ -417,15 +417,12 @@ def encode_basis(bits: str) -> SparsePoly:
     return SparsePoly.monomial(len(bits), basis_exponents(bits))
 
 
-def encode_state(amplitudes: np.ndarray | list | dict[str, complex],
-                 nqubits: int | None = None) -> HoloState:
+def encode_state(amplitudes: np.ndarray | list | dict[str, complex]) -> HoloState:
     """Build a HoloState from a flat big-endian amplitude vector or a dict."""
     if isinstance(amplitudes, dict):
-        if nqubits is None:
-            if not amplitudes:
-                raise ValueError("cannot infer qubit count from an empty dict")
-            nqubits = len(next(iter(amplitudes)))
-        return HoloState(nqubits, amplitudes)
+        if not amplitudes:
+            raise ValueError("cannot infer qubit count from an empty dict")
+        return HoloState(len(next(iter(amplitudes))), amplitudes)
     v = np.asarray(amplitudes, dtype=complex).ravel()
     n = int(round(math.log2(v.size))) if v.size else 0
     if v.size < 2 or 2 ** n != v.size:

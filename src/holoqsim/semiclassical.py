@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holostate import vdot_rows
+from .holostate import _check_qubit, vdot_rows
 from .torus import fixed_steps
 
 HERMITIAN_TOL = 1e-12
@@ -75,8 +75,7 @@ def pauli_hamiltonian(kind: str, qubit: int, nqubits: int = 1) -> QuadraticHamil
     """Pauli block on one qubit pair, zero elsewhere."""
     if kind not in _PAULI_BLOCKS:
         raise ValueError(f"kind must be one of X, Y, Z, got {kind!r}")
-    if not 1 <= qubit <= nqubits:
-        raise ValueError(f"qubit index {qubit} out of range 1..{nqubits}")
+    _check_qubit(qubit, nqubits)
     h = np.zeros((2 * nqubits, 2 * nqubits), dtype=complex)
     i = 2 * (qubit - 1)
     h[i:i + 2, i:i + 2] = _PAULI_BLOCKS[kind]

@@ -506,7 +506,7 @@ def test_loaders_share_register_header_checks(tmp_path, load, key):
 def test_trajectory_csv_layout(tmp_path):
     traj = integrate_flow(FlowSpec("Z", 1, 0.2, 0.1), TorusPoint((1.0, 2.0)))
     path = str(tmp_path / "traj.csv")
-    save_trajectory(path, traj)
+    save_trajectory(path, traj, column_texts(traj.times))
     lines = Path(path).read_text().splitlines()
     assert lines[0] == "t, phi_a_1, phi_b_1, sum_phase_1"
     assert len(lines) == 1 + traj.nsamples
@@ -517,7 +517,7 @@ def test_trajectory_csv_layout(tmp_path):
 def test_trajectory_floats_round_trip(tmp_path):
     traj = integrate_flow(FlowSpec("X", 1, 0.3, 0.07), TorusPoint((0.4, 5.1)))
     path = str(tmp_path / "traj.csv")
-    save_trajectory(path, traj)
+    save_trajectory(path, traj, column_texts(traj.times))
     lines = Path(path).read_text().splitlines()[1:]
     for i, line in enumerate(lines):
         vals = [float(x) for x in line.split(",")]
@@ -531,7 +531,7 @@ def test_trajectory_csv_equals_per_element_format():
                       + [format_float(x) for x in traj.phases[i]]
                       + [format_float(x) for x in traj.sum_phases[i]])
             for i in range(traj.nsamples)]
-    assert trajectory_csv_text(traj).splitlines()[1:] == rows
+    assert trajectory_csv_text(traj, column_texts(traj.times)).splitlines()[1:] == rows
 
 
 def reference_trajectory_csv_text(traj):
@@ -556,12 +556,11 @@ def test_trajectory_columns_are_formatted_by_their_bits(tmp_path):
                          [-1e308, 1e308, -5e-324, 5e-324, third, -third, math.inf, math.nan])))
     rows = [", ".join(["%.17g" % x for x in row])
             for row in np.column_stack((traj.times, traj.phases, traj.sum_phases)).tolist()]
-    text = trajectory_csv_text(traj)
+    text = trajectory_csv_text(traj, column_texts(traj.times))
     assert text.splitlines() == [
         "t, phi_a_1, phi_b_1, phi_a_2, phi_b_2, sum_phase_1, sum_phase_2", *rows]
     assert text == reference_trajectory_csv_text(traj)
     assert text.splitlines()[2].split(", ")[1] == "-0"
-    assert trajectory_csv_text(traj, column_texts(traj.times)) == text
     path = tmp_path / "traj.csv"
     save_trajectory(str(path), traj, column_texts(traj.times))
     assert path.read_text() == text

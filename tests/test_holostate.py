@@ -63,6 +63,11 @@ def test_encode_state_rejects_bad_lengths():
         encode_state(np.array([1.0]))
 
 
+def test_encode_state_rejects_an_empty_dict():
+    with pytest.raises(ValueError, match="^cannot infer qubit count from an empty dict$"):
+        encode_state({})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_non_finite_amplitudes_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -32,6 +32,12 @@ def test_pauli_hamiltonian_embedding():
     assert h[2, 3] == 1.0 and h[3, 2] == 1.0
 
 
+@pytest.mark.parametrize("qubit", [0, -1, 4])
+def test_pauli_hamiltonian_rejects_a_qubit_outside_the_register(qubit):
+    with pytest.raises(ValueError, match=rf"^qubit index {qubit} out of range 1\.\.3$"):
+        pauli_hamiltonian("Z", qubit, nqubits=3)
+
+
 def test_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         QuadraticHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -73,7 +73,6 @@ from .semiclassical import (
 )
 from .oracle import (
     StateVector,
-    apply_gate_matrix,
     compare_states,
     run_circuit_matrix,
 )

@@ -270,6 +270,7 @@ def cmd_classical_evolve(args) -> int:
     cols += ["energy", "norm"]
     with np.errstate(over="ignore", invalid="ignore"):
         zs = propagator(ham, np.array(times)) @ z0
+        zs[0] = z0  # times[0] is 0.0, and propagator(ham, 0.0) is the identity only to rounding
         energies, norms = ham.energy(zs), norm_rows(zs)
     if not (np.isfinite(energies).all() and np.isfinite(norms).all()):
         raise CliError("--z0 is too large: the energy or norm of its flow overflows a float")

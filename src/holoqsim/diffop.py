@@ -82,7 +82,7 @@ from .holostate import (
     _check_qubit,
     a_index,
     b_index,
-    encode_basis,
+    basis_exponents,
     fits_dense,
     format_powers,
     from_poly,
@@ -488,7 +488,7 @@ def derive_block(op: DiffOperator | Substitution) -> GateBlock:
     apply = apply_substitution if isinstance(op, Substitution) else apply_diffop
     block = np.zeros((2 ** k, 2 ** k), dtype=complex)
     for col in range(2 ** k):
-        image = from_poly(apply(op, encode_basis(format(col, f"0{k}b"))))
+        image = from_poly(apply(op, SparsePoly.monomial(k, basis_exponents(col, k))))
         for row, amp in image.indexed.items():
             block[row, col] = amp
     block.flags.writeable = False

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holostate import NORM_TOL, HoloState, encode_state, norm_rows, prune_amplitudes, vdot_rows
+from .holostate import NORM_TOL, HoloState, norm_rows, prune_amplitudes, vdot_rows
 
 # Below this gap from overlap 1, arccos amplifies one ulp of rounding to
 # ~1.5e-8, so overlaps this close to 1 are snapped before taking arccos.
@@ -140,18 +140,11 @@ class ProductState:
             fs.append(v)
         object.__setattr__(self, "factors", tuple(fs))
 
-    @property
-    def nqubits(self) -> int:
-        return len(self.factors)
-
     def amplitude_vector(self) -> np.ndarray:
         v = np.array([1.0 + 0j])
         for f in self.factors:
             v = np.kron(v, f)
         return v
-
-    def to_state(self) -> HoloState:
-        return encode_state(self.amplitude_vector())
 
 
 @dataclass(frozen=True)

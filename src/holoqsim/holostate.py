@@ -157,9 +157,6 @@ class TermMap:
     def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def __mul__(self, scalar):
         return type(self)(self.nqubits,
                           {key: complex(scalar) * c for key, c in self.terms.items()})
@@ -237,9 +234,6 @@ class SparsePoly(TermMap):
         return SparsePoly(self.nqubits, out)
 
     # -- queries ------------------------------------------------------
-
-    def coeff(self, exponents: tuple[int, ...]) -> complex:
-        return self.terms.get(tuple(exponents), 0j)
 
     @property
     def is_zero(self) -> bool:
@@ -400,13 +394,11 @@ class HoloState:
 # -- encoding and decoding -------------------------------------------
 
 
-def basis_exponents(bits: str) -> tuple[int, ...]:
-    """Exponent tuple of the monomial encoding a basis bit string."""
-    expo = [0] * (2 * len(bits))
-    for j, ch in enumerate(bits, start=1):
-        if ch not in "01":
-            raise ValueError(f"bad basis label {bits!r}")
-        expo[a_index(j) + int(ch)] = 1
+def basis_exponents(index: int, nqubits: int) -> tuple[int, ...]:
+    """Exponent tuple of the monomial encoding a basis index; qubit j reads bit N - j."""
+    expo = [0] * (2 * nqubits)
+    for j in range(1, nqubits + 1):
+        expo[a_index(j) + (index >> (nqubits - j) & 1)] = 1
     return tuple(expo)
 
 
@@ -414,7 +406,9 @@ def encode_basis(bits: str) -> SparsePoly:
     """Monomial for one computational basis state, e.g. "01" -> z_a1 * z_b2."""
     if not bits:
         raise ValueError("empty basis label")
-    return SparsePoly.monomial(len(bits), basis_exponents(bits))
+    if bits.strip("01"):
+        raise ValueError(f"bad basis label {bits!r}")
+    return SparsePoly.monomial(len(bits), basis_exponents(int(bits, 2), len(bits)))
 
 
 def encode_state(amplitudes: np.ndarray | list | dict[str, complex]) -> HoloState:
@@ -432,8 +426,8 @@ def encode_state(amplitudes: np.ndarray | list | dict[str, complex]) -> HoloStat
 
 def to_poly(state: HoloState) -> SparsePoly:
     """Encode a state as its physical polynomial."""
-    terms = {basis_exponents(bits): amp for bits, amp in state.amplitudes.items()}
-    return SparsePoly(state.nqubits, terms)
+    n = state.nqubits
+    return SparsePoly(n, {basis_exponents(k, n): amp for k, amp in state.indexed.items()})
 
 
 def _exponents_to_index(expo: tuple[int, ...], nqubits: int) -> int:

@@ -153,11 +153,6 @@ def _undo_relabeling(t: np.ndarray) -> None:
             t = np.swapaxes(t, i, j)
 
 
-def apply_gate_matrix(gate: GateSpec, state: StateVector) -> StateVector:
-    """Apply one gate to a copy of the state (Circuit checks its qubit range)."""
-    return run_circuit_matrix(Circuit(state.nqubits, (gate,)), state)
-
-
 def run_circuit_matrix(circuit: Circuit, state: StateVector) -> StateVector:
     """Run the circuit on one copy of the input; the input is left unchanged."""
     if 2 ** circuit.nqubits != state.amplitudes.size:

@@ -57,10 +57,6 @@ class QuadraticHamiltonian:
                 f"{HERMITIAN_TOL:g}")
         object.__setattr__(self, "hmatrix", m)
 
-    @property
-    def nqubits(self) -> int:
-        return self.hmatrix.shape[0] // 2
-
     def energy(self, z: np.ndarray) -> float | np.ndarray:
         """conj(z)^T h z of one point, or an array of energies of a (..., 2N) stack.
 

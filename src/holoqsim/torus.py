@@ -242,9 +242,6 @@ class Trajectory:
     def nqubits(self) -> int:
         return self.phases.shape[1] // 2
 
-    def point(self, i: int) -> TorusPoint:
-        return TorusPoint(tuple(self.phases[i]))
-
     def sum_drift(self, qubit: int) -> float:
         """Max |sum(t) - sum(0)| of a qubit pair over the whole trajectory."""
         _check_qubit(qubit, self.nqubits)

@@ -501,6 +501,15 @@ def test_portrait_y_stationary_rows(tmp_path, capsys):
             assert moved > 1e-3
 
 
+@pytest.mark.parametrize("t_final", ["0", "-1"])
+def test_portrait_nonpositive_t_final_exits_2(tmp_path, capsys, t_final):
+    out = tmp_path / "p"
+    code, stdout, stderr = run_cli(capsys, "portrait", "--generator", "X",
+                                   "--t-final", t_final, "--out-dir", str(out))
+    assert (code, stdout, stderr) == (2, "", "error: --t-final must be > 0\n")
+    assert not out.exists()
+
+
 def test_portrait_bad_generator_exits_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "portrait", "--generator", "Q",
                               "--out-dir", str(tmp_path / "p"))
@@ -841,6 +850,15 @@ def test_classical_evolve_output(tmp_path, capsys):
     assert abs(last[6] - 1.0) < 1e-12
 
 
+def test_classical_evolve_first_row_is_the_start_point(tmp_path, capsys):
+    out = tmp_path / "evo.csv"
+    code, stdout, _ = run_cli(capsys, "classical-evolve", "--generator", "X", "--out", str(out))
+    assert code == 0
+    first = out.read_text().splitlines()[1].split(", ")
+    assert first == ["0", "1", "0", "0", "0", "0", "1"]
+    assert stdout.splitlines()[-1] == f"initial energy: {first[5]}"
+
+
 def test_classical_evolve_energy_column_constant(tmp_path, capsys):
     out = str(tmp_path / "evo.csv")
     run_cli(capsys, "classical-evolve", "--generator", "Y", "--t-final", "3.0",
@@ -867,7 +885,8 @@ def test_classical_evolve_rows_equal_per_row_propagators(tmp_path, capsys, gener
     evals, evecs = np.linalg.eigh(h)
     rows = []
     for t in [k * 0.01 for k in range(101)] + [1.005]:
-        zt = ((evecs * np.exp(-1j * evals * t)) @ evecs.conj().T) @ z
+        # Row t = 0 is z0 itself: propagator(ham, 0.0) is the identity only to rounding.
+        zt = z if t == 0 else ((evecs * np.exp(-1j * evals * t)) @ evecs.conj().T) @ z
         row = [t] + [x for val in zt for x in (val.real, val.imag)]
         row += [float(np.real(np.vdot(zt, h @ zt))), float(np.linalg.norm(zt))]
         rows.append(", ".join(f"{float(x):.17g}" for x in row))
@@ -924,6 +943,26 @@ def test_unusable_path_exits_2_naming_it(bell_files, tmp_path, capsys, argv, bad
     assert bad.format(**names) in stderr
     assert ".tmp-" not in stderr
     assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"n": 2, "gates": {}}',
+     ["simulate", "--circuit", "{bad}", "--state", "{state}", "--out", "{out}"],
+     '"gates" must be a list'),
+    ('{"n": 2, "amplitudes": [[1, 0]]}',
+     ["simulate", "--circuit", "{circuit}", "--state", "{bad}", "--out", "{out}"],
+     "amplitudes must be an object"),
+    ('{"n": 1, "states": {}}', ["holonomy", "--loop", "{bad}"], '"states" must be a list'),
+])
+def test_file_with_a_container_of_the_wrong_type_exits_2(bell_files, tmp_path, capsys,
+                                                          text, argv, message):
+    circ, state = bell_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out.json"
+    argv = [a.format(bad=bad, circuit=circ, state=state, out=out) for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {bad}: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "diff", "entanglement"])

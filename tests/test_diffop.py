@@ -74,7 +74,7 @@ def simple_action_matrix(op, nqubits):
                else apply_diffop(op, poly))
         for row in range(dim):
             key = next(iter(encode_basis(format(row, f"0{nqubits}b")).terms))
-            m[row, col] = out.coeff(key)
+            m[row, col] = out.terms.get(key, 0j)
     return m
 
 

@@ -20,7 +20,7 @@ from holoqsim import (
     to_poly,
 )
 from holoqsim.fileio import state_text
-from holoqsim.holostate import basis_indices
+from holoqsim.holostate import _exponents_to_index, basis_exponents, basis_indices
 
 from _support import random_state_vector
 
@@ -37,10 +37,20 @@ def test_encode_basis_two_qubits():
 
 
 def test_encode_basis_rejects_bad_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty basis label$"):
         encode_basis("")
-    with pytest.raises(ValueError):
-        encode_basis("0x1")
+    for bad in ("0x1", "0x"):
+        with pytest.raises(ValueError) as refused:
+            encode_basis(bad)
+        assert str(refused.value) == f"bad basis label {bad!r}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_basis_exponents_is_the_inverse_of_the_decoding_index(n):
+    for k in range(2 ** n):
+        expo = basis_exponents(k, n)
+        assert _exponents_to_index(expo, n) == k
+        assert SparsePoly.monomial(n, expo) == encode_basis(format(k, f"0{n}b"))
 
 
 def test_encode_state_bell():
@@ -80,6 +90,15 @@ def test_to_poly_bell():
     r = 1.0 / math.sqrt(2.0)
     poly = to_poly(encode_state(np.array([r, 0.0, 0.0, r])))
     assert poly.terms == {(1, 0, 1, 0): r + 0j, (0, 1, 0, 1): r + 0j}
+
+
+def test_to_poly_reads_indices_without_building_the_label_map():
+    v = random_state_vector(np.random.default_rng(3), 3)
+    map_form = HoloState(3, {format(k, "03b"): c for k, c in enumerate(v.tolist())})
+    for state in (map_form, HoloState(3, v)):
+        poly = to_poly(state)
+        assert state._amplitudes is None
+        assert from_poly(poly) == state
 
 
 def test_from_poly_round_trip_exact():

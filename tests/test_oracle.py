@@ -13,7 +13,6 @@ from holoqsim import (
     GateSpec,
     HoloState,
     StateVector,
-    apply_gate_matrix,
     compare_states,
     haar_random_unitary,
     run_circuit_holo,
@@ -40,45 +39,45 @@ def test_rejects_non_power_of_two():
 
 
 def test_x_on_each_qubit():
-    sv = apply_gate_matrix(GateSpec("X", (1,)), StateVector.basis("00"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("X", (1,)),)), StateVector.basis("00"))
     assert sv.amplitudes[int("10", 2)] == 1.0
-    sv = apply_gate_matrix(GateSpec("X", (2,)), StateVector.basis("00"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("X", (2,)),)), StateVector.basis("00"))
     assert sv.amplitudes[int("01", 2)] == 1.0
 
 
 def test_h_makes_plus():
-    sv = apply_gate_matrix(GateSpec("H", (1,)), StateVector.basis("0"))
+    sv = run_circuit_matrix(Circuit(1, (GateSpec("H", (1,)),)), StateVector.basis("0"))
     assert np.max(np.abs(sv.amplitudes - np.array([1, 1]) / SQ2)) < 1e-15
 
 
 def test_cnot_truth_table():
     for src, dst in (("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")):
-        sv = apply_gate_matrix(GateSpec("CNOT", (1, 2)), StateVector.basis(src))
+        sv = run_circuit_matrix(Circuit(2, (GateSpec("CNOT", (1, 2)),)), StateVector.basis(src))
         assert sv.amplitudes[int(dst, 2)] == 1.0, (src, dst)
 
 
 def test_cnot_reversed_control():
-    sv = apply_gate_matrix(GateSpec("CNOT", (2, 1)), StateVector.basis("01"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("CNOT", (2, 1)),)), StateVector.basis("01"))
     assert sv.amplitudes[int("11", 2)] == 1.0
 
 
 def test_cz_phase():
-    sv = apply_gate_matrix(GateSpec("CZ", (1, 2)), StateVector.basis("11"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("CZ", (1, 2)),)), StateVector.basis("11"))
     assert sv.amplitudes[int("11", 2)] == -1.0
-    sv = apply_gate_matrix(GateSpec("CZ", (1, 2)), StateVector.basis("10"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("CZ", (1, 2)),)), StateVector.basis("10"))
     assert sv.amplitudes[int("10", 2)] == 1.0
 
 
 def test_swap_on_three_qubits():
-    sv = apply_gate_matrix(GateSpec("SWAP", (1, 3)), StateVector.basis("100"))
+    sv = run_circuit_matrix(Circuit(3, (GateSpec("SWAP", (1, 3)),)), StateVector.basis("100"))
     assert sv.amplitudes[int("001", 2)] == 1.0
 
 
 def test_cu_block_on_control_one():
     u = np.array([[0, 1], [1, 0]], dtype=complex)
-    sv = apply_gate_matrix(GateSpec("CU", (1, 2), u), StateVector.basis("10"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("CU", (1, 2), u),)), StateVector.basis("10"))
     assert sv.amplitudes[int("11", 2)] == 1.0
-    sv = apply_gate_matrix(GateSpec("CU", (1, 2), u), StateVector.basis("00"))
+    sv = run_circuit_matrix(Circuit(2, (GateSpec("CU", (1, 2), u),)), StateVector.basis("00"))
     assert sv.amplitudes[int("00", 2)] == 1.0
 
 
@@ -139,7 +138,7 @@ def test_cu_equals_dense_matrix_on_random_blocks():
         dense = np.eye(4, dtype=complex)
         dense[2:, 2:] = u
         v = random_state_vector(rng, 2)
-        out = apply_gate_matrix(GateSpec("CU", (1, 2), u), StateVector(v))
+        out = run_circuit_matrix(Circuit(2, (GateSpec("CU", (1, 2), u),)), StateVector(v))
         assert np.max(np.abs(out.amplitudes - dense @ v)) < 1e-12
 
 
@@ -215,7 +214,7 @@ def test_every_kind_and_placement_matches_full_matrix(n):
     gates, expected = [], v.copy()
     for gate in _every_placement(n, rng):
         full = _gate_matrix(gate, n)
-        out = apply_gate_matrix(gate, StateVector(v)).amplitudes
+        out = run_circuit_matrix(Circuit(n, (gate,)), StateVector(v)).amplitudes
         if gate.kind in ("H", "CU"):
             assert np.max(np.abs(out - full @ v)) < 1e-14, gate
         else:

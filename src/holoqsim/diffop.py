@@ -297,6 +297,23 @@ class GateSpec:
             raise ValueError(f"{self.kind} does not take a unitary block")
 
 
+def _prechecked_gate(kind: str, qubits: tuple[int, ...], u: np.ndarray | None = None) -> GateSpec:
+    """The GateSpec of fields that the caller has checked as __post_init__ would.
+
+    The caller vouches for a kind of GATE_ARITY, a tuple of that many
+    distinct ints from 1, and a complex 2x2 u exactly for a CU.  Only u is
+    checked here, with __post_init__'s message, so the gate rules stay in
+    this module.  `fileio.load_circuit` builds a file's gates with this once
+    they have passed its check over all entries at once.
+    """
+    if u is not None:
+        _require_unitary(u, "CU block")
+    gate = object.__new__(GateSpec)
+    fields = gate.__dict__  # what __init__ would write, without its per-field frozen setattr
+    fields["kind"], fields["qubits"], fields["u"] = kind, qubits, u
+    return gate
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over a fixed register size."""
@@ -444,18 +461,19 @@ GateBlock = np.ndarray
 
 # The stored term count from which run_circuit_holo moves a state to the
 # dense path: DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM.  One map-form
-# gate as the fold runs it (integer keys, no per-gate check; unscaled, one
-# thread, 2-vCPU x86-64 host, N = 8, 12 and 18, random non-CU kinds, median
-# over gates of the best of 7, two runs) costs 0.44-0.76 us per stored term at
-# 16 terms, 0.32-0.56 us at 256, 1.5-2.7 us at one term, and 17-30 us for a
-# one-term CU, whose block and table are built per call.  A dense gate, one
-# np.dot, costs 8-15 us at N = 8, 20-52 us at N = 12 and 6.2-8.1 ms at N = 18
-# (all kinds, best of 7 per gate, range over gates and two runs): ~8 us plus
-# ~25 ns per amplitude.  The constants date from ~4 us per sparse term, where
-# dense paid from ~8 + 2^N / 280 terms (N = 8 goes dense from 9 terms, N = 18
-# from 1 032, and a 16-term state at N = 18 stays sparse).  Today's figures
-# put the break-even near 20 + 2^N / 16 terms; the constants stay until a
-# scaling curve of both paths measures it with its own benchmark pairs.
+# gate as the fold runs it (gate_table and _apply_sparse on integer keys, no
+# per-gate check; unscaled, one thread, 2-vCPU x86-64 host, N = 8, 12 and 18,
+# 40 random non-CU gates, median over gates of the best of 7, two runs) costs
+# 0.28-0.36 us per stored term at 16 terms, 0.26-0.30 us at 256, 0.80-0.89 us
+# at one term, and 12.5-13.4 us for a one-term CU, whose block and table are
+# built per call.  A dense gate, one np.dot, costs 8-15 us at N = 8, 20-52 us
+# at N = 12 and 6.2-8.1 ms at N = 18 (all kinds, best of 7 per gate, range
+# over gates and two runs; not re-measured since): ~8 us plus ~25 ns per
+# amplitude.  The constants date from ~4 us per sparse term, where dense paid
+# from ~8 + 2^N / 280 terms (N = 8 goes dense from 9 terms, N = 18 from
+# 1 032, and a 16-term state at N = 18 stays sparse).  Today's figures put the
+# break-even near 25 + 2^N / 12 terms; the constants stay until a scaling
+# curve of both paths measures it with its own benchmark pairs.
 DENSE_MIN_TERMS = 8
 DENSE_AMPLITUDES_PER_TERM = 256
 
@@ -543,18 +561,19 @@ def gate_table(gate: GateSpec) -> LocalTable:
     return _fixed_table(gate.kind) if gate.kind != "CU" else _local_table(gate_block(gate))
 
 
-def _apply_sparse(table: LocalTable, shifts: list[int],
+def _apply_sparse(table: LocalTable, n: int, qubits: tuple[int, ...],
                   amplitudes: dict[int, complex]) -> dict[int, complex]:
-    """Send every stored amplitude through the column that its gate bits select.
+    """Send every stored amplitude of an N-qubit map through the column that its gate bits select.
 
-    `shifts` holds N - q, the bit of qubit q in a key, for the gate's qubits.
+    Qubit q is bit N - q of a key, shifted here, so the fold's fixed cost per
+    gate is one table lookup and this call (figures above DENSE_MIN_TERMS).
     Unless the table permutes, the result is pruned as HoloState prunes, but
     it is never checked: a non-finite entry stays for the caller to refuse.
     """
     out: dict[int, complex] = {}
     columns, permutes = table
-    if len(shifts) == 1:
-        s = shifts[0]
+    if len(qubits) == 1:
+        s = n - qubits[0]
         spread, keep = (0, 1 << s), ~(1 << s)
         for key, amp in amplitudes.items():
             base = key & keep
@@ -562,7 +581,7 @@ def _apply_sparse(table: LocalTable, shifts: list[int],
                 k = base | spread[r]
                 out[k] = out.get(k, 0j) + coeff * amp
     else:
-        s0, s1 = shifts
+        s0, s1 = n - qubits[0], n - qubits[1]
         spread = (0, 1 << s1, 1 << s0, 1 << s0 | 1 << s1)
         keep = ~spread[3]
         for key, amp in amplitudes.items():
@@ -628,7 +647,7 @@ def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
     for gate in circuit.gates:  # Circuit has checked every qubit against n
         if tensor is None:
             if len(amps) < dense_from:
-                amps = _apply_sparse(gate_table(gate), [n - q for q in gate.qubits], amps)
+                amps = _apply_sparse(gate_table(gate), n, gate.qubits, amps)
                 continue
             tensor = HoloState.from_indexed(n, amps).to_vector().reshape((2,) * n)
         tensor = _apply_dense(gate_block(gate), [q - 1 for q in gate.qubits], tensor)

@@ -35,7 +35,11 @@ holostate.basis_indices); if all pass and the labels ascend, as in every
 file holoqsim writes, it is read straight into the vector form.  Any other
 state is checked entry by entry, which names the first bad entry, and
 loads as a map.  Unsorted files stay maps: a vector's norm sums in index
-order, a map's in file order, and so do the last digits.
+order, a map's in file order, and so do the last digits.  A gate list is
+likewise first checked over all entries at once (types, kinds, arities and
+repeated qubits as lists and sets, each CU's "u" in file order); if all
+pass, its gates are built without checking each again, and any other list
+is checked entry by entry, which names the first bad entry.
 Every float writer (states, circuits, reports, CSV rows) prints a float as
 "%.17g", so values round-trip exactly: -0.0 prints as "-0", which the
 loaders read back as -0.0.  Every writer goes through an atomic
@@ -52,7 +56,7 @@ from itertools import chain
 
 import numpy as np
 
-from .diffop import Circuit, GateSpec, dense_crossover
+from .diffop import GATE_ARITY, Circuit, GateSpec, _prechecked_gate, dense_crossover
 from .geometry import StateLoop
 from .holostate import HoloState, basis_indices, require_dense
 from .torus import Trajectory
@@ -269,31 +273,82 @@ def save_state(path: str, state: HoloState) -> None:
 # -- circuits ---------------------------------------------------------
 
 
+def _block_cells(raw, where: str) -> np.ndarray:
+    """The complex 2x2 array of a gate's "u", a 2x2 matrix of [re, im] pairs."""
+    if (not isinstance(raw, list) or len(raw) != 2
+            or any(not isinstance(row, list) or len(row) != 2 for row in raw)):
+        raise FormatError(f'{where}: "u" must be a 2x2 matrix of [re, im] pairs')
+    return np.array([[_complex_pair(cell, where, 'a "u" entry') for cell in row]
+                     for row in raw])
+
+
+def _gates_at_once(entries: list, path: str) -> list[GateSpec] | None:
+    """The gates of a "gates" list, checked over all entries at once, or None.
+
+    None unless every entry is an object with a known kind, a "qubits" list
+    of the kind's arity of distinct ints from 1, and a "u" exactly when it
+    is a CU: what GateSpec checks one entry at a time.  The per-entry path
+    then names the first bad entry.  Each CU's "u" is read and checked here,
+    in file order, with the per-entry path's messages.  Circuit checks the
+    qubits against N on both paths, after every entry has passed.
+    """
+    if set(map(type, entries)) != {dict}:
+        return None
+    kinds = [entry.get("kind") for entry in entries]
+    if set(map(type, kinds)) != {str} or not GATE_ARITY.keys() >= set(kinds):
+        return None
+    qubits = [entry.get("qubits") for entry in entries]
+    arities = [GATE_ARITY[kind] for kind in kinds]
+    if set(map(type, qubits)) != {list} or list(map(len, qubits)) != arities:
+        return None
+    flat = list(chain.from_iterable(qubits))  # exact ints, so no bool, -0 or 1.0
+    if (set(map(type, flat)) != {int} or min(flat) < 1
+            or list(map(len, map(set, qubits))) != arities):  # a repeated qubit
+        return None
+    cu = [idx for idx, kind in enumerate(kinds) if kind == "CU"]
+    if [idx for idx, entry in enumerate(entries) if "u" in entry] != cu:
+        return None
+    gates = [None if kind == "CU" else _prechecked_gate(kind, tuple(qs))
+             for kind, qs in zip(kinds, qubits)]
+    for idx in cu:
+        where = f"{path}: gate {idx}"
+        u = _block_cells(entries[idx]["u"], where)
+        try:
+            gates[idx] = _prechecked_gate("CU", tuple(qubits[idx]), u)
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}")
+    return gates
+
+
+def _gate_of_entry(entry, idx: int, path: str) -> GateSpec:
+    """The GateSpec of one "gates" entry, checked alone; messages are formatted only when raised."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{path}: gate {idx} must be an object")
+    qubits = entry.get("qubits")
+    if not isinstance(qubits, list):
+        raise FormatError(f'{path}: gate {idx}: "qubits" must be a list')
+    u = _block_cells(entry["u"], f"{path}: gate {idx}") if "u" in entry else None
+    try:
+        return GateSpec(entry.get("kind"), tuple(qubits), u)
+    except ValueError as exc:
+        raise FormatError(f"{path}: gate {idx}: {exc}")
+
+
 def load_circuit(path: str) -> Circuit:
+    """The circuit of a file; its first bad entry, or a qubit above "n", is a FormatError.
+
+    A gate list that passes as a whole (`_gates_at_once`) is built without
+    checking each gate again; any other runs the per-entry path, which
+    checks each entry in file order and names the first bad one.
+    """
     doc = _load_json(path)
     n = _register_size(doc, "gates", path)
-    if not isinstance(doc["gates"], list):
+    entries = doc["gates"]
+    if not isinstance(entries, list):
         raise FormatError(f'{path}: "gates" must be a list')
-    gates = []
-    for idx, entry in enumerate(doc["gates"]):  # messages are formatted only when raised
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: gate {idx} must be an object")
-        qubits = entry.get("qubits")
-        if not isinstance(qubits, list):
-            raise FormatError(f'{path}: gate {idx}: "qubits" must be a list')
-        u = None
-        if "u" in entry:
-            where = f"{path}: gate {idx}"
-            raw = entry["u"]
-            if (not isinstance(raw, list) or len(raw) != 2
-                    or any(not isinstance(row, list) or len(row) != 2 for row in raw)):
-                raise FormatError(f'{where}: "u" must be a 2x2 matrix of [re, im] pairs')
-            u = np.array([[_complex_pair(cell, where, 'a "u" entry') for cell in row]
-                          for row in raw])
-        try:
-            gates.append(GateSpec(entry.get("kind"), tuple(qubits), u))
-        except ValueError as exc:
-            raise FormatError(f"{path}: gate {idx}: {exc}")
+    gates = _gates_at_once(entries, path)
+    if gates is None:
+        gates = [_gate_of_entry(entry, idx, path) for idx, entry in enumerate(entries)]
     try:
         return Circuit(n, tuple(gates))
     except ValueError as exc:

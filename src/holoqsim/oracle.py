@@ -47,6 +47,10 @@ _ONE_QUBIT = {
     "H": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2,
 }
 
+# The entries of _ONE_QUBIT that the sparse form scales by, read once as Python complex numbers.
+_Y01, _Y10 = complex(_ONE_QUBIT["Y"][0, 1]), complex(_ONE_QUBIT["Y"][1, 0])
+_Z11 = complex(_ONE_QUBIT["Z"][1, 1])
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -215,26 +219,29 @@ def _mix_pairs(amps: dict[int, complex], target: int, control: int,
 
 
 def _apply_sparse(gate: GateSpec, amps: dict[int, complex], n: int) -> dict[int, complex]:
-    """Apply one gate to an index -> amplitude map by bit operations on the indices."""
-    kind = gate.kind
-    m = [1 << (n - q) for q in gate.qubits]
-    mask = m[0] | m[-1]  # all of the gate's qubits
+    """Apply one gate to an index -> amplitude map by bit operations on the indices.
+
+    Y's and Z's entries are read once per process, as _Y01, _Y10 and _Z11, so
+    a gate's fixed cost is its one or two masks; the rest is one pass per term.
+    """
+    kind, qubits = gate.kind, gate.qubits
+    first, last = 1 << (n - qubits[0]), 1 << (n - qubits[-1])
+    mask = first | last  # all of the gate's qubits
     if kind == "X":
         return {k ^ mask: a for k, a in amps.items()}
     if kind == "Y":
-        y01, y10 = complex(_ONE_QUBIT["Y"][0, 1]), complex(_ONE_QUBIT["Y"][1, 0])
-        return {k ^ mask: a * (y01 if k & mask else y10) for k, a in amps.items()}
+        return {k ^ mask: a * (_Y01 if k & mask else _Y10) for k, a in amps.items()}
     if kind == "SWAP":
-        return {k ^ mask if k & mask in m else k: a for k, a in amps.items()}
+        differ = (first, last)  # k & mask where the two bits differ
+        return {k ^ mask if k & mask in differ else k: a for k, a in amps.items()}
     if kind == "CNOT":
-        return {k ^ m[1] if k & m[0] else k: a for k, a in amps.items()}
+        return {k ^ last if k & first else k: a for k, a in amps.items()}
     if kind in ("Z", "CZ"):
-        z = complex(_ONE_QUBIT["Z"][1, 1])
-        return {k: a * z if k & mask == mask else a for k, a in amps.items()}
+        return {k: a * _Z11 if k & mask == mask else a for k, a in amps.items()}
     if kind == "H":
         return _mix_pairs(amps, mask, 0, _ONE_QUBIT["H"])
     if kind == "CU":
-        return _mix_pairs(amps, m[1], m[0], gate.u)
+        return _mix_pairs(amps, last, first, gate.u)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 

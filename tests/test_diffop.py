@@ -768,7 +768,7 @@ def keyed(state):
 
 def apply_keyed(gate, n, amplitudes):
     """The map-form kernel on one gate, its result labelled again."""
-    out = _apply_sparse(gate_table(gate), [n - q for q in gate.qubits], amplitudes)
+    out = _apply_sparse(gate_table(gate), n, gate.qubits, amplitudes)
     assert type(out) is dict
     return {format(k, f"0{n}b"): c for k, c in out.items()}
 

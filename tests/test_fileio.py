@@ -26,7 +26,7 @@ from holoqsim import (
     save_trajectory,
 )
 from holoqsim.cli import DEFAULT_DELTAS, DEFAULT_OFFSETS, main
-from holoqsim.diffop import dense_crossover
+from holoqsim.diffop import GATE_ARITY, dense_crossover, haar_random_unitary
 from holoqsim.fileio import (
     FormatError,
     _complex_pair,
@@ -410,15 +410,16 @@ BAD_GATE_ENTRIES = [
     ('{"kind": "H", "qubits": []}', "H takes 1 qubit(s), got ()"),
     ('{"kind": "CU", "qubits": [1, 2], "u": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}',
      "CU block is not a finite unitary within 1e-10"),
+    ('{"kind": "H", "qubits": [1, 1]}', "H takes 1 qubit(s), got (1, 1)"),
+    ('{"kind": "CZ", "qubits": [1, 2, 2]}', "CZ takes 2 qubit(s), got (1, 2, 2)"),
 ]
+BAD_GATE_IDS = ["unknown", "list-kind", "no-kind", "float-qubit", "bool-qubit", "stray-u",
+                "cu-without-u", "int-kind", "null-kind", "bool-second-qubit", "zero-qubit",
+                "negative-qubit", "repeated-qubit", "arity-1", "arity-2", "no-qubits",
+                "non-unitary-u", "arity-1-repeated", "arity-2-repeated"]
 
 
-@pytest.mark.parametrize("entry, message", BAD_GATE_ENTRIES,
-                         ids=["unknown", "list-kind", "no-kind", "float-qubit", "bool-qubit",
-                              "stray-u", "cu-without-u", "int-kind", "null-kind",
-                              "bool-second-qubit", "zero-qubit", "negative-qubit",
-                              "repeated-qubit", "arity-1", "arity-2", "no-qubits",
-                              "non-unitary-u"])
+@pytest.mark.parametrize("entry, message", BAD_GATE_ENTRIES, ids=BAD_GATE_IDS)
 def test_circuit_and_gatespec_refuse_bad_gate_alike(tmp_path, entry, message):
     doc = json.loads(entry)
     u = np.array([[complex(*c) for c in row] for row in doc["u"]]) if "u" in doc else None
@@ -431,23 +432,30 @@ def test_circuit_and_gatespec_refuse_bad_gate_alike(tmp_path, entry, message):
     assert str(err.value) == f"{path}: gate 0: {message}"
 
 
-@pytest.mark.parametrize("entry, message", [
-    ('[1]', "gate 1 must be an object"),
-    ('{"kind": "X"}', 'gate 1: "qubits" must be a list'),
-    ('{"kind": "X", "qubits": 1}', 'gate 1: "qubits" must be a list'),
+# Gate entries that the loader refuses before GateSpec sees them, each with
+# its message after "gate <index>".
+LOADER_GATE_REFUSALS = [
+    ('[1]', " must be an object"),
+    ('{"kind": "X"}', ': "qubits" must be a list'),
+    ('{"kind": "X", "qubits": 1}', ': "qubits" must be a list'),
     ('{"kind": "CU", "qubits": [1, 2], "u": [1, 0]}',
-     'gate 1: "u" must be a 2x2 matrix of [re, im] pairs'),
+     ': "u" must be a 2x2 matrix of [re, im] pairs'),
     ('{"kind": "CU", "qubits": [1, 2], "u": [[[1, 0], [0, 0]], [[0, 0], [1]]]}',
-     'gate 1: a "u" entry must be a [real, imag] pair'),
+     ': a "u" entry must be a [real, imag] pair'),
     ('{"kind": "CU", "qubits": [1, 2], "u": [[[1, 0], [0, 0]], [[0, 0], [1%s, 0]]]}' % ("0" * 400),
-     'gate 1: a "u" entry is too large for a float'),
-], ids=["not-object", "no-qubits", "int-qubits", "flat-u", "short-u-cell", "huge-u-cell"])
-def test_circuit_loader_refusals_name_file_and_gate(tmp_path, entry, message):
+     ': a "u" entry is too large for a float'),
+]
+LOADER_GATE_REFUSAL_IDS = ["not-object", "no-qubits", "int-qubits", "flat-u", "short-u-cell",
+                           "huge-u-cell"]
+
+
+@pytest.mark.parametrize("entry, tail", LOADER_GATE_REFUSALS, ids=LOADER_GATE_REFUSAL_IDS)
+def test_circuit_loader_refusals_name_file_and_gate(tmp_path, entry, tail):
     path = write(tmp_path, "circ.json",
                  '{"n": 2, "gates": [{"kind": "H", "qubits": [1]}, %s]}' % entry)
     with pytest.raises(FormatError) as err:
         load_circuit(path)
-    assert str(err.value) == f"{path}: {message}"
+    assert str(err.value) == f"{path}: gate 1{tail}"
 
 
 def test_circuit_loader_takes_each_gate_field_as_given(tmp_path):
@@ -459,6 +467,119 @@ def test_circuit_loader_takes_each_gate_field_as_given(tmp_path):
         ("CNOT", (3, 1)), ("H", (2,)), ("CU", (2, 3))]
     assert all(type(q) is int for g in circuit.gates for q in g.qubits)
     assert circuit.gates[2].u.tolist() == [[0j, 1 + 0j], [1 + 0j, 0j]]
+
+
+# 200 valid gates without a block, every kind but CU on a 2-qubit register.
+PLAIN_GATES = [{"kind": kind, "qubits": qubits} for kind, qubits in (
+    ("X", [1]), ("Y", [2]), ("Z", [1]), ("H", [2]), ("SWAP", [1, 2]), ("CNOT", [2, 1]),
+    ("CZ", [1, 2]), ("H", [1]))] * 25
+
+
+@pytest.mark.parametrize("entry, message", [
+    *((entry, f"gate 200: {message}") for entry, message in BAD_GATE_ENTRIES),
+    *((entry, f"gate 200{tail}") for entry, tail in LOADER_GATE_REFUSALS),
+    ('{"kind": "CNOT", "qubits": [1, 3]}', "gate CNOT on qubit 3 exceeds register size 2"),
+], ids=[*BAD_GATE_IDS, *(f"loader-{i}" for i in LOADER_GATE_REFUSAL_IDS), "above-n"])
+def test_circuit_refusal_after_200_valid_gates_is_the_same(tmp_path, entry, message):
+    """A bad last entry after 200 valid ones gets the text it gets as the only bad entry."""
+    gates = ", ".join([*map(json.dumps, PLAIN_GATES), entry])
+    path = write(tmp_path, "circ.json", '{"n": 2, "gates": [%s]}' % gates)
+    with pytest.raises(FormatError) as err:
+        load_circuit(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def per_entry_circuit(path):
+    """load_circuit as it checks one entry at a time: the Circuit, or its FormatError's text.
+
+    Built from GateSpec(...) and Circuit(...), with the loader's own JSON hooks.
+    """
+    doc = _load_json(path)
+    gates = []
+    for idx, entry in enumerate(doc["gates"]):
+        where = f"{path}: gate {idx}"
+        if not isinstance(entry, dict):
+            return f"{where} must be an object"
+        if not isinstance(entry.get("qubits"), list):
+            return f'{where}: "qubits" must be a list'
+        u = None
+        if "u" in entry:
+            raw = entry["u"]
+            if not (isinstance(raw, list) and len(raw) == 2
+                    and all(isinstance(row, list) and len(row) == 2 for row in raw)):
+                return f'{where}: "u" must be a 2x2 matrix of [re, im] pairs'
+            cells = []
+            for cell in (cell for row in raw for cell in row):
+                if not (type(cell) is list and len(cell) == 2
+                        and all(type(x) in (int, float) for x in cell)):
+                    return f'{where}: a "u" entry must be a [real, imag] pair'
+                try:
+                    cells.append(complex(*cell))
+                except OverflowError:
+                    return f'{where}: a "u" entry is too large for a float'
+            u = np.array(cells).reshape(2, 2)
+        try:
+            gates.append(GateSpec(entry.get("kind"), tuple(entry["qubits"]), u))
+        except ValueError as exc:
+            return f"{where}: {exc}"
+    try:
+        return Circuit(doc["n"], tuple(gates))
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+def gate_fields(circuit):
+    """Each gate's kind, qubits with their types, and block bits as float.hex."""
+    return [(g.kind, g.qubits, tuple(map(type, g.qubits)),
+             None if g.u is None else [x.hex() for z in g.u.ravel().tolist()
+                                       for x in (z.real, z.imag)])
+            for g in circuit.gates]
+
+
+@st.composite
+def valid_gate_entry(draw, n):
+    """A gate entry that loads, perhaps with keys the loader ignores."""
+    kind = draw(st.sampled_from(sorted(GATE_ARITY)))
+    entry = {"kind": kind, "qubits": draw(st.lists(st.integers(1, n), min_size=GATE_ARITY[kind],
+                                                   max_size=GATE_ARITY[kind], unique=True))}
+    if kind == "CU":
+        u = haar_random_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+        entry["u"] = [[[z.real, z.imag] for z in row] for row in u.tolist()]
+    if draw(st.booleans()):
+        entry[draw(st.sampled_from(["note", "label", "U", "Kind"]))] = draw(st.integers(0, 3))
+    return json.dumps(entry)
+
+
+def bad_gate_entry(n):
+    """An entry that a per-entry check refuses, or a qubit above N, which Circuit refuses."""
+    return st.one_of(
+        st.sampled_from([entry for entry, _ in BAD_GATE_ENTRIES + LOADER_GATE_REFUSALS]),
+        st.sampled_from(['{"kind": "X", "qubits": [-0]}', '{"kind": "H", "qubits": [1.0]}',
+                         '{"kind": "CZ", "qubits": [2, 1.0]}', '{"kind": "SWAP", "qubits": [1, -0]}',
+                         '{"kind": "CU", "qubits": [2, 1]}', '{"kind": "CU", "qubits": [1, 2], '
+                         '"u": null}', '{"kind": "Z", "qubits": [1], "u": null}']),
+        st.builds(lambda q, kind: json.dumps({"kind": kind, "qubits": [q] if kind == "X"
+                                              else [1, q]}),
+                  st.integers(n + 1, n + 3), st.sampled_from(["X", "CNOT", "SWAP"])))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_circuit_load_matches_per_entry_reference_property(data):
+    n = data.draw(st.integers(2, 20))
+    entries = data.draw(st.lists(valid_gate_entry(n), max_size=12))
+    for bad in data.draw(st.lists(bad_gate_entry(n), max_size=2)):
+        entries.insert(data.draw(st.integers(0, len(entries))), bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), "circ.json", '{"n": %d, "gates": [%s]}' % (n, ", ".join(entries)))
+        expected = per_entry_circuit(path)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as err:
+                load_circuit(path)
+            assert str(err.value) == expected
+        else:
+            got = load_circuit(path)
+            assert got.nqubits == n and gate_fields(got) == gate_fields(expected)
 
 
 # -- loops ------------------------------------------------------------

@@ -404,6 +404,17 @@ def build_cases() -> dict:
     refused("holonomy theta nan", "holonomy", "--theta", "nan")
     refused("holonomy no source", "holonomy")
     refused("holonomy two sources", "holonomy", "--loop", loops[0], "--theta", "1")
+
+    # The parser's own text: usage errors, and the help of every command.
+    refused("usage no arguments")
+    refused("usage unknown command", "nosuch")
+    refused("usage unknown option alone", "--bogus")
+    refused("usage unknown option after a command", "simulate", "--circuit", c1,
+            "--state", one, "--out", "out/x.json", "--bogus")
+    refused("usage diff --tol with no value", "diff", "--circuit", c1, "--state", one, "--tol")
+    for argv in (["-h"], *([command, "-h"] for command in (
+            "simulate", "diff", "portrait", "entanglement", "holonomy", "classical-evolve"))):
+        cases.append({"name": "help " + " ".join(argv), "argv": argv, "outputs": []})
     return {"inputs": inputs, "cases": cases}
 
 

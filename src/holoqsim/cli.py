@@ -290,27 +290,22 @@ def cmd_classical_evolve(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holoqsim",
-        description="Qubit circuits as holomorphic polynomials, with torus flows, "
-                    "entanglement geometry, and classical pair dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a circuit on a state file")
+def _simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("diff", help="compare polynomial and state-vector engines")
+
+def _diff(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("portrait", help="integrate torus flows over a start grid")
+
+def _portrait(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dt", type=float, default=0.01)
@@ -321,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated initial phase differences")
     p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("entanglement", help="distance to the product-state manifold")
+
+def _entanglement(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -329,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=SEPARABLE_TOL)
     p.set_defaults(func=cmd_entanglement)
 
-    p = sub.add_parser("holonomy", help="discrete geometric phase of a state loop")
+
+def _holonomy(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loop", default=None, help="JSON loop file")
     p.add_argument("--theta", type=float, default=None,
                    help="polar angle of a fixed-latitude circle")
@@ -337,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of segments for --theta loops")
     p.set_defaults(func=cmd_holonomy)
 
-    p = sub.add_parser("classical-evolve",
-                       help="flow pair amplitudes under a Pauli Hamiltonian")
+
+def _classical_evolve(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.01)
@@ -349,11 +346,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_classical_evolve)
 
+
+# Each command's help line and the function that declares its arguments, in
+# the order the top-level help lists them.  A declarer names its cmd_* function
+# when it runs, so a cmd_* rebound on this module is the one the parser calls.
+COMMANDS = {
+    "simulate": ("run a circuit on a state file", _simulate),
+    "diff": ("compare polynomial and state-vector engines", _diff),
+    "portrait": ("integrate torus flows over a start grid", _portrait),
+    "entanglement": ("distance to the product-state manifold", _entanglement),
+    "holonomy": ("discrete geometric phase of a state loop", _holonomy),
+    "classical-evolve": ("flow pair amplitudes under a Pauli Hamiltonian", _classical_evolve),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all six commands, or of the top level and `command` alone.
+
+    On argv that starts with `command`, both parse to the same namespace and
+    print the same text.  The one-command parser still lists all six names
+    in its usage line; the full one keeps argparse's own name for the
+    command argument ("command") in its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="holoqsim",
+        description="Qubit circuits as holomorphic polynomials, with torus flows, "
+                    "entanglement geometry, and classical pair dynamics.")
+    names = list(COMMANDS) if command is None else [command]
+    metavar = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in names:
+        help_text, declare = COMMANDS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named command's arguments are built; anything else gets the full
+    # parser, whose errors and help name every command.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,19 +1,24 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoqsim.cli
 import holoqsim.geometry
 import holoqsim.torus
 from holoqsim import MAX_DENSE_QUBITS, HoloState, load_state, save_state
-from holoqsim.cli import main
+from holoqsim.cli import COMMANDS, build_parser, main
 from holoqsim.fileio import format_float, state_text
 from holoqsim.geometry import overlap_distance
 from holoqsim.semiclassical import pauli_hamiltonian
@@ -567,6 +572,17 @@ def test_time_grid_above_step_cap_exits_2(tmp_path, capsys, monkeypatch, command
     assert not out.exists()
 
 
+def test_time_grid_of_astronomical_step_count_exits_2_with_a_short_message(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, "portrait", "--generator", "X",
+                                   "--out-dir", str(out), "--dt", "1e-300")
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: t_final / dt = 10.0 / 1e-300 asks for 1e+301 steps, "
+                      "more than MAX_FLOW_STEPS = 10000000\n")
+    assert len(stderr) < 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["classical-evolve", "--generator", "X", "--z0", "nan,0,0,0"], "--z0"),
     (["classical-evolve", "--generator", "X", "--z0", "1,0,inf,0"], "--z0"),
@@ -977,3 +993,111 @@ def test_overflowing_norm_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert "not normalized (norm inf)" in stderr
+
+
+# -- the parser -------------------------------------------------------
+
+# Argv tails that each command's parser accepts: every option given, and
+# the required options alone, so that every default is taken.
+VALID_TAILS = {
+    "simulate": ["--circuit", "c.json", "--state", "s.json", "--out", "o.json"],
+    "diff": ["--circuit", "c.json", "--state", "s.json", "--tol", "1e-6", "--out", "r.txt"],
+    "portrait": ["--generator", "y", "--out-dir", "d", "--dt", "0.1", "--t-final", "1",
+                 "--offsets", "0,1", "--deltas", "0"],
+    "entanglement": ["--state", "s.json", "--out", "e.json", "--seed", "3", "--restarts", "2",
+                     "--tol", "0"],
+    "holonomy": ["--loop", "l.json", "--theta", "1", "--samples", "20"],
+    "classical-evolve": ["--generator", "Z", "--t-final", "1", "--dt", "0.1",
+                         "--z0", "1,0,0,0", "--qubit", "1", "--out", "o.csv"],
+}
+REQUIRED_TAILS = {
+    "simulate": VALID_TAILS["simulate"],
+    "diff": ["--circuit", "c.json", "--state", "s.json"],
+    "portrait": ["--generator", "X", "--out-dir", "d"],
+    "entanglement": ["--state", "s.json"],
+    "holonomy": [],
+    "classical-evolve": ["--generator", "X", "--out", "o.csv"],
+}
+# Usage errors and help, per command.
+BAD_TAILS = [
+    ("simulate", ["--circuit", "c.json", "--state", "s.json"]),  # a missing required option
+    ("diff", ["--state", "s.json"]),
+    ("portrait", ["--generator", "X"]),
+    ("entanglement", []),
+    ("classical-evolve", ["--out", "o.csv"]),
+    *((name, [*tail, "--bogus"]) for name, tail in VALID_TAILS.items()),  # an unknown option
+    ("diff", ["--circuit", "c", "--state", "s", "--tol", "nan"]),  # a bad type= value
+    ("entanglement", ["--state", "s", "--restarts", "x"]),
+    ("portrait", ["--generator", "X", "--out-dir", "d", "--dt", "x"]),
+    ("holonomy", ["--samples", "1.5"]),
+    ("classical-evolve", ["--generator", "X", "--out", "o", "--qubit", "x"]),
+    ("portrait", ["--generator", "Q", "--out-dir", "d"]),  # a bad choices value
+    ("classical-evolve", ["--generator", "xy", "--out", "o"]),
+    ("diff", ["--circuit", "c", "--state", "s", "--tol"]),  # an option with no value
+    *((name, ["-h"]) for name in VALID_TAILS),
+]
+
+
+def parsed(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parsing argv; code None on success."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), args
+
+
+def test_the_full_parser_has_every_command():
+    assert list(COMMANDS) == list(VALID_TAILS)
+    for name, tail in VALID_TAILS.items():
+        assert parsed(build_parser(), [name, *tail])[3].func is getattr(
+            holoqsim.cli, "cmd_" + name.replace("-", "_"))
+
+
+@pytest.mark.parametrize("argv", [[name, *tails[name]] for tails in (VALID_TAILS, REQUIRED_TAILS)
+                                  for name in VALID_TAILS], ids=" ".join)
+def test_one_command_parser_gives_the_full_parsers_namespace(argv):
+    one = parsed(build_parser(argv[0]), argv)
+    assert one[:3] == (None, "", "")
+    assert one == parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [[name, *tail] for name, tail in BAD_TAILS], ids=" ".join)
+def test_one_command_parser_refuses_and_helps_as_the_full_one(argv):
+    one = parsed(build_parser(argv[0]), argv)
+    assert one[0] in (0, 2) and one[1] + one[2]
+    assert one == parsed(build_parser(), argv)
+
+
+# Argv heads: every command, and the heads that only the full parser sees.
+HEADS = (*COMMANDS, "nosuch", "Simulate", "sim", "--bogus", "-h", "--", "")
+TOKENS = (*sorted({t for tail in VALID_TAILS.values() for t in tail if t.startswith("--")}),
+          "1", "0.5", "-1", "nan", "x", "X", "Q", "a.json", "--bogus", "-h", "--")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(HEADS), st.lists(st.sampled_from(TOKENS), max_size=8))
+def test_parsers_agree_on_drawn_argv(head, tail):
+    argv = [head, *tail]
+    full = parsed(build_parser(), argv)
+    if head in COMMANDS:
+        assert parsed(build_parser(head), argv) == full
+    else:  # the full parser's errors name the command argument "command"
+        assert "argument {" not in full[2] and "required: {" not in full[2]
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    argv = ["holonomy", "--theta", "1", "--samples", "20"]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["holoqsim", *argv])
+    assert main() == expected[0]
+    assert capsys.readouterr()[:] == expected[1:]
+
+
+@pytest.mark.parametrize("name", VALID_TAILS)
+def test_main_calls_the_command_function_bound_on_the_module_at_call_time(monkeypatch, name):
+    monkeypatch.setattr(holoqsim.cli, "cmd_" + name.replace("-", "_"), lambda args: 7)
+    assert main([name, *VALID_TAILS[name]]) == 7

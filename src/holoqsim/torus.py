@@ -186,7 +186,7 @@ def fixed_steps(t_final: float, dt: float) -> tuple[list[float], list[float]]:
     rem = t_final - nfull * dt
     nsteps = nfull + 1 if rem > 1e-12 else nfull
     if nsteps > MAX_FLOW_STEPS:
-        count = nsteps if nsteps < 10 ** 15 else f"{nsteps:.3g}"  # not 300 digits
+        count = nsteps if nsteps < 10 ** 15 else f"{nsteps:.3g}"  # a tiny dt asks for ~300 digits
         raise ValueError(
             f"t_final / dt = {t_final!r} / {dt!r} asks for {count} steps, "
             f"more than MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")

@@ -68,19 +68,15 @@ DEFAULT_OFFSETS = (-1.2, -0.6, 0.0, 0.6, 1.2)
 DEFAULT_DELTAS = (-math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
 
 
-class CliError(Exception):
-    """Input-level failure; rendered to stderr with exit code 2."""
-
-
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
     try:
         values = tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise CliError(f"{what} must be a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"{what} must be a comma-separated list of numbers, got {text!r}")
     if not values:
-        raise CliError(f"{what} must not be empty")
+        raise ValueError(f"{what} must not be empty")
     if not all(math.isfinite(x) for x in values):
-        raise CliError(f"{what} must hold finite numbers, got {text!r}")
+        raise ValueError(f"{what} must hold finite numbers, got {text!r}")
     return values
 
 
@@ -98,7 +94,7 @@ def _tolerance(text: str) -> float:
 def _load_state_checked(path: str):
     state = load_state(path)
     if not state.is_normalized:
-        raise CliError(
+        raise ValueError(
             f"state in {path} is not normalized (norm {format_float(state.norm())})")
     return state
 
@@ -116,9 +112,9 @@ def _checked_term_bound(circuit, state: HoloState, form: str) -> tuple[int, int]
     terms = len(state.indexed) if v is None else np.count_nonzero(v)  # builds no map
     bound, cap = sparse_term_bound(circuit, terms), sparse_cap(n)
     if bound > cap and not fits_dense(n):
-        raise CliError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
-                       f"amplitude vectors, and {form}'s term bound {bound} passes its cap "
-                       f"of {cap} terms")
+        raise ValueError(f"{n} qubits exceed the {MAX_DENSE_QUBITS}-qubit limit for dense 2^N "
+                         f"amplitude vectors, and {form}'s term bound {bound} passes its cap "
+                         f"of {cap} terms")
     return bound, cap
 
 
@@ -173,7 +169,7 @@ def cmd_portrait(args) -> int:
     deltas = (_parse_float_list(args.deltas, "--deltas")
               if args.deltas else DEFAULT_DELTAS)
     if args.t_final <= 0:
-        raise CliError("--t-final must be > 0")
+        raise ValueError("--t-final must be > 0")
     spec = FlowSpec(generator, 1, args.t_final, args.dt)
     starts = [(sigma0, delta0, TorusPoint((0.5 * (sigma0 + delta0), 0.5 * (sigma0 - delta0))))
               for sigma0 in offsets for delta0 in deltas]  # all checked before any file is written
@@ -205,7 +201,7 @@ def cmd_portrait(args) -> int:
 
 def cmd_entanglement(args) -> int:
     if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     state = _load_state_checked(args.state)
     result = maximize_product_overlap(state, restarts=args.restarts, seed=args.seed)
     measure = overlap_distance(result.overlap)
@@ -234,13 +230,13 @@ def cmd_entanglement(args) -> int:
 
 def cmd_holonomy(args) -> int:
     if (args.loop is None) == (args.theta is None):
-        raise CliError("give exactly one of --loop FILE or --theta ANGLE")
+        raise ValueError("give exactly one of --loop FILE or --theta ANGLE")
     if args.loop is not None:
         loop = load_loop(args.loop)
         try:
             gamma = berry_holonomy(loop)
         except ValueError as exc:
-            raise CliError(f"{args.loop}: {exc}")
+            raise ValueError(f"{args.loop}: {exc}")
         print(f"segments: {loop.segments}")
         print(f"holonomy: {format_float(gamma)}")
         return EXIT_OK
@@ -258,7 +254,7 @@ def cmd_holonomy(args) -> int:
 def cmd_classical_evolve(args) -> int:
     raw = _parse_float_list(args.z0, "--z0")
     if len(raw) % 4:
-        raise CliError("--z0 needs 4 numbers per qubit: re_a, im_a, re_b, im_b")
+        raise ValueError("--z0 needs 4 numbers per qubit: re_a, im_a, re_b, im_b")
     z0 = np.array([complex(raw[k], raw[k + 1]) for k in range(0, len(raw), 2)])
     nqubits = z0.size // 2
     ham = pauli_hamiltonian(args.generator, args.qubit, nqubits)
@@ -273,7 +269,7 @@ def cmd_classical_evolve(args) -> int:
         zs[0] = z0  # times[0] is 0.0, and propagator(ham, 0.0) is the identity only to rounding
         energies, norms = ham.energy(zs), norm_rows(zs)
     if not (np.isfinite(energies).all() and np.isfinite(norms).all()):
-        raise CliError("--z0 is too large: the energy or norm of its flow overflows a float")
+        raise ValueError("--z0 is too large: the energy or norm of its flow overflows a float")
     # Rows are made into lists a block at a time, so they stream to csv_text, and
     # the table lives only as long as the generator does.
     block = 128
@@ -394,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -79,6 +79,7 @@ from .holostate import (
     HoloState,
     SparsePoly,
     TermMap,
+    _check_distinct,
     _check_qubit,
     a_index,
     b_index,
@@ -221,8 +222,7 @@ class Substitution:
         """Exchange the (z_a, z_b) pairs of two qubits."""
         _check_qubit(qubit1, nqubits)
         _check_qubit(qubit2, nqubits)
-        if qubit1 == qubit2:
-            raise ValueError("SWAP needs two distinct qubits")
+        _check_distinct(qubit1, qubit2)
         m = np.eye(2 * nqubits, dtype=complex)
         for off in (0, 1):
             i, j = a_index(qubit1) + off, a_index(qubit2) + off
@@ -283,8 +283,7 @@ class GateSpec:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {qs}")
         if min(qs) < 1:
             raise ValueError(f"qubit indices are 1-based, got {qs}")
-        if arity == 2 and qs[0] == qs[1]:
-            raise ValueError(f"repeated qubit in {qs}")
+        _check_distinct(*qs)
         if self.kind == "CU":
             if self.u is None:
                 raise ValueError("CU requires a 2x2 unitary block")
@@ -396,8 +395,7 @@ def controlled_u(control: int, target: int, u: np.ndarray,
     The operator is P0_c + P1_c * (u0 + ux X + uy Y + uz Z on the target),
     with the components of `_pauli_components`.
     """
-    if control == target:
-        raise ValueError("control and target must differ")
+    _check_distinct(control, target)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("controlled block must be 2x2")
@@ -407,11 +405,13 @@ def controlled_u(control: int, target: int, u: np.ndarray,
 
 
 def cnot_op(control: int, target: int, nqubits: int) -> DiffOperator:
+    _check_distinct(control, target)
     p0, p1 = _projector_terms(nqubits, control)
     return p0 + compose(p1, pauli_x(nqubits, target))
 
 
 def cz_op(control: int, target: int, nqubits: int) -> DiffOperator:
+    _check_distinct(control, target)
     one = DiffOperator.identity(nqubits)
     zc = pauli_z(nqubits, control)
     zt = pauli_z(nqubits, target)
@@ -420,6 +420,7 @@ def cz_op(control: int, target: int, nqubits: int) -> DiffOperator:
 
 def swap_op(qubit1: int, qubit2: int, nqubits: int) -> DiffOperator:
     """SWAP as (1 + XX + YY + ZZ)/2, the operator twin of the pair exchange."""
+    _check_distinct(qubit1, qubit2)
     one = DiffOperator.identity(nqubits)
     xx = compose(pauli_x(nqubits, qubit1), pauli_x(nqubits, qubit2))
     yy = compose(pauli_y(nqubits, qubit1), pauli_y(nqubits, qubit2))

@@ -26,9 +26,9 @@ then one row per sample.  It is formatted by column: each distinct float
 of a column once, and the time grid that `portrait`'s trajectories share
 once per call, to the bytes of one "%.17g" per entry.
 
-The loaders check only JSON shape; HoloState checks labels and values and
-GateSpec kinds, qubits and blocks, and their refusals become FormatErrors
-that name the file.  HoloState parses labels to indices, which the state
+The loaders apply HoloState's rules for labels and values and GateSpec's
+for kinds, qubits and blocks, and a refusal becomes a FormatError that
+names the file.  HoloState parses labels to indices, which the state
 writer formats back.  A state of at least diffop.dense_crossover(N)
 amplitudes is first checked as arrays (its pairs here, its labels by
 holostate.basis_indices); if all pass and the labels ascend, as in every

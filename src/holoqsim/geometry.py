@@ -192,18 +192,16 @@ def _sweep_plan(f: np.ndarray, suffix_buf: np.ndarray, left_bufs: tuple[np.ndarr
     return builds, steps
 
 
-def _stacked_ascent(conj_vector: np.ndarray,
-                    factors: np.ndarray) -> tuple[list[list[float]], list[int]]:
+def _stacked_ascent(conj_vector: np.ndarray, factors: np.ndarray) -> list[list[float]]:
     """Ascend every restart of the (a, N, 2) stack `factors`, updating it in place.
 
-    Returns each restart's overlap after every sweep it ran and its sweep count.
+    Returns each restart's overlap after every sweep it ran, so its sweep count is the length.
     Every sweep writes its suffixes and left environments into the same
     buffers, so a sweep allocates only its 2-vectors and overlaps.
     """
     max_sweeps, gain_tol = MAX_SWEEPS, GAIN_TOL  # read once per call, not per step
     stacked, n = factors.shape[:2]
     histories: list[list[float]] = [[] for _ in range(stacked)]
-    iterations = [max_sweeps] * stacked
     suffix_buf = np.empty(stacked << n, dtype=complex)
     left_bufs = (np.empty(stacked << max(n - 1, 0), dtype=complex),
                  np.empty(stacked << max(n - 2, 0), dtype=complex))
@@ -212,7 +210,7 @@ def _stacked_ascent(conj_vector: np.ndarray,
     active = np.arange(stacked)
     f, ov = factors.copy(), np.zeros((stacked, 1, 1))
     builds, steps = _sweep_plan(f, suffix_buf, left_bufs)
-    for sweeps in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         prev = ov.copy()
         for c, right, out in builds:
             np.multiply(c, right, out=out)
@@ -232,14 +230,12 @@ def _stacked_ascent(conj_vector: np.ndarray,
         done = (ov - prev).ravel() < gain_tol
         if done.any():
             factors[active[done]] = f[done]
-            for r in active[done].tolist():
-                iterations[r] = sweeps
             active, f, ov = active[~done], f[~done], ov[~done]
             if not len(active):
                 break
             builds, steps = _sweep_plan(f, suffix_buf, left_bufs)
     factors[active] = f  # the restarts that MAX_SWEEPS ended
-    return histories, iterations
+    return histories
 
 
 def maximize_product_overlap(psi: HoloState,
@@ -275,13 +271,10 @@ def maximize_product_overlap(psi: HoloState,
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             factors[r, q] = v / np.linalg.norm(v)
     histories: list[list[float]] = []
-    iterations: list[int] = []
     stack = max(1, STACK_AMPLITUDES >> n)
     for lo in range(0, restarts, stack):
-        h, it = _stacked_ascent(conj_vector, factors[lo:lo + stack])
-        histories += h
-        iterations += it
-    records = tuple(RestartRecord(r, iterations[r], histories[r][-1], tuple(histories[r]))
+        histories += _stacked_ascent(conj_vector, factors[lo:lo + stack])
+    records = tuple(RestartRecord(r, len(histories[r]), histories[r][-1], tuple(histories[r]))
                     for r in range(restarts))
     best = int(np.argmax([record.overlap for record in records]))
     witness = ProductState(tuple(factors[best]))

@@ -62,6 +62,19 @@ def _check_qubit(qubit: int, nqubits: int) -> None:
         raise ValueError(f"qubit index {qubit} out of range 1..{nqubits}")
 
 
+def _check_distinct(*qubits: int) -> None:
+    if len(set(qubits)) < len(qubits):
+        raise ValueError(f"repeated qubit in {qubits}")
+
+
+def register_size(size: int) -> int:
+    """The N of a flat 2^N-entry amplitude vector; ValueError unless size is a power of two >= 2."""
+    n = size.bit_length() - 1
+    if size < 2 or size != 1 << n:
+        raise ValueError(f"amplitude vector length {size} is not a power of two >= 2")
+    return n
+
+
 def fits_dense(nqubits: int) -> bool:
     """True when a register is at most MAX_DENSE_QUBITS, read at call time."""
     return nqubits <= MAX_DENSE_QUBITS
@@ -288,15 +301,15 @@ class HoloState:
     `prune_amplitudes` of a complex 2^N array as its own read-only copy in
     `vector` (None for a map); the caller's array is left as it was.  Both
     forms read the same, through `indexed`, and by label through `amplitudes`,
-    which is cached on first use, as `is_normalized` is.
+    which is cached on first use.
     """
 
-    __slots__ = ("nqubits", "vector", "_indexed", "_amplitudes", "_is_normalized")
+    __slots__ = ("nqubits", "vector", "_indexed", "_amplitudes")
 
     def __init__(self, nqubits: int, amplitudes: dict[str, complex] | np.ndarray):
         if nqubits < 1:
             raise ValueError(f"nqubits must be >= 1, got {nqubits}")
-        self.nqubits, self._amplitudes, self._is_normalized = nqubits, None, None
+        self.nqubits, self._amplitudes = nqubits, None
         if isinstance(amplitudes, np.ndarray):
             if amplitudes.shape != (2 ** nqubits,) or amplitudes.dtype != complex:
                 raise ValueError(f"{nqubits}-qubit vector must be complex of length {2 ** nqubits}")
@@ -348,9 +361,7 @@ class HoloState:
     @property
     def is_normalized(self) -> bool:
         """True when the 2-norm is within NORM_TOL of one."""
-        if self._is_normalized is None:
-            self._is_normalized = abs(self.norm() - 1.0) <= NORM_TOL
-        return self._is_normalized
+        return abs(self.norm() - 1.0) <= NORM_TOL
 
     def norm(self) -> float:
         """2-norm of the amplitudes, summed in map order; inf when a square overflows a float.
@@ -418,10 +429,7 @@ def encode_state(amplitudes: np.ndarray | list | dict[str, complex]) -> HoloStat
             raise ValueError("cannot infer qubit count from an empty dict")
         return HoloState(len(next(iter(amplitudes))), amplitudes)
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    n = int(round(math.log2(v.size))) if v.size else 0
-    if v.size < 2 or 2 ** n != v.size:
-        raise ValueError(f"amplitude vector length {v.size} is not a power of two >= 2")
-    return HoloState(n, v)
+    return HoloState(register_size(v.size), v)
 
 
 def to_poly(state: HoloState) -> SparsePoly:

@@ -1,7 +1,8 @@
 """Plain state-vector reference engine, in a dense and a sparse form.
 
-Completely independent route used to cross-check the polynomial engine.
-Nothing here touches polynomials, gate blocks or bit-string labels.
+Independent route used to cross-check the polynomial engine.  Its gate
+code touches no polynomials, gate blocks or bit-string labels; only
+`StateVector.basis` reads a label, by the rule HoloState applies.
 
 Dense form: amplitudes live in a flat complex vector of length 2^N,
 reshaped to [2]*N so qubit j (1-based, big-endian) is axis j-1, and gates
@@ -60,21 +61,16 @@ class StateVector:
 
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
-        n = int(round(math.log2(v.size))) if v.size else 0
-        if v.size < 2 or 2 ** n != v.size:
-            raise ValueError(
-                f"amplitude vector length {v.size} is not a power of two >= 2")
+        holostate.register_size(v.size)
         object.__setattr__(self, "amplitudes", v)
 
     @property
     def nqubits(self) -> int:
-        return int(round(math.log2(self.amplitudes.size)))
+        return holostate.register_size(self.amplitudes.size)
 
     @classmethod
     def basis(cls, bits: str) -> "StateVector":
-        v = np.zeros(2 ** len(bits), dtype=complex)
-        v[int(bits, 2)] = 1.0
-        return cls(v)
+        return cls(holostate.HoloState(len(bits), {bits: 1.0}).to_vector())
 
 
 def _exchange(a: np.ndarray, b: np.ndarray) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holostate import _check_qubit
+from .holostate import _check_distinct, _check_qubit
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,8 +390,7 @@ def hadamard_torus_map(point: TorusPoint, qubit: int) -> TorusPoint:
 
 def swap_torus(point: TorusPoint, qubit1: int, qubit2: int) -> TorusPoint:
     """Exchange the phase pairs of two qubits (an involution, det -1 per pair)."""
-    if qubit1 == qubit2:
-        raise ValueError("swap needs two distinct qubits")
+    _check_distinct(qubit1, qubit2)
     _check_qubit(qubit1, point.nqubits)
     _check_qubit(qubit2, point.nqubits)
     phases = list(point.phases)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -1095,6 +1097,26 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["holoqsim", *argv])
     assert main() == expected[0]
     assert capsys.readouterr()[:] == expected[1:]
+
+
+def test_python_dash_m_runs_the_cli_module():
+    # `python -m holoqsim.cli`, as the README offers, reaches main() through the
+    # module's __main__ line.  COLUMNS keeps argparse's help on one line per command.
+    src = str(Path(holoqsim.cli.__file__).parents[1])
+    env = {**os.environ, "COLUMNS": "200",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "holoqsim.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    helped = run("--help")
+    assert helped.returncode == 0, helped.stderr
+    for name in ("simulate", "diff", "portrait", "entanglement", "holonomy", "classical-evolve"):
+        assert re.search(rf"^    {name} +[a-z]", helped.stdout, re.MULTILINE), name
+    refused = run("nosuch")
+    assert refused.returncode == 2
+    assert "argument command: invalid choice: 'nosuch'" in refused.stderr
 
 
 @pytest.mark.parametrize("name", VALID_TAILS)

@@ -14,6 +14,7 @@ from holoqsim import (
     SparsePoly,
     StateVector,
     Substitution,
+    TorusPoint,
     apply_diffop,
     apply_gate,
     apply_substitution,
@@ -29,6 +30,7 @@ from holoqsim import (
     run_circuit_holo,
     run_circuit_matrix,
     sb_inner_product,
+    swap_torus,
     to_poly,
 )
 from holoqsim import holostate
@@ -212,6 +214,12 @@ def test_substitution_rejects_singular_matrix():
         Substitution(1, np.zeros((2, 2)))
 
 
+def test_substitution_refuses_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError) as err:
+        Substitution(1, np.eye(3))
+    assert str(err.value) == "matrix shape (3, 3), expected (2, 2)"
+
+
 # -- controlled gates -------------------------------------------------
 
 
@@ -278,6 +286,18 @@ def test_diffop_rejects_non_finite_coefficients(bad):
         DiffOperator(1, {((1, 0), (0, 1)): 1.0, (z, z): bad})
     with pytest.raises(ValueError, match="not finite"):
         pauli_x(1, 1) * bad
+
+
+@pytest.mark.parametrize("key, message", [
+    (((1, 0, 0), (0, 0)), "exponent tuples must have length 2N"),
+    (((1, 0), (0,)), "exponent tuples must have length 2N"),
+    (((1, -1), (0, 0)), "negative exponent in operator term"),
+    (((1, 0), (0, -2)), "negative exponent in operator term"),
+], ids=["long-mult", "short-deriv", "negative-mult", "negative-deriv"])
+def test_diffop_refuses_keys_of_the_wrong_length_or_sign(key, message):
+    with pytest.raises(ValueError) as err:
+        DiffOperator(1, {key: 1.0})
+    assert str(err.value) == message
 
 
 def test_diffop_rejects_fractional_exponents():
@@ -360,6 +380,17 @@ def test_circuit_rejects_out_of_range_qubits():
         Circuit(1, (GateSpec("X", (2,)),))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Circuit(0), "circuit needs at least one qubit"),
+    (lambda: DiffOperator(0, {}), "nqubits must be >= 1, got 0"),
+    (lambda: GateSpec("CU", (1, 2), np.eye(3)), "CU block has shape (3, 3), expected (2, 2)"),
+], ids=["circuit", "diffop", "cu-block-shape"])
+def test_circuit_diffop_and_gatespec_refuse_bad_sizes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("qubit", [0, -1, 3])
 def test_builders_refuse_qubits_outside_the_register(qubit):
     n, message = 2, f"qubit index {qubit} out of range 1..2"
@@ -375,6 +406,23 @@ def test_builders_refuse_qubits_outside_the_register(qubit):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GateSpec("CNOT", (1, 1)),
+    lambda: controlled_u(1, 1, X_MAT, 2),
+    lambda: Substitution.swap(2, 1, 1),
+    lambda: swap_torus(TorusPoint((0.1, 0.2, 0.3, 0.4)), 1, 1),
+    lambda: cnot_op(1, 1, 2),
+    lambda: cz_op(1, 1, 2),
+    lambda: swap_op(1, 1, 2),
+], ids=["GateSpec", "controlled_u", "Substitution.swap", "swap_torus", "cnot_op", "cz_op",
+        "swap_op"])
+def test_every_qubit_pair_refuses_a_repeated_qubit_with_one_message(build):
+    # Unchecked, cnot_op, cz_op and swap_op would build 8-, 6- and 6-term operators that are no gate
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "repeated qubit in (1, 1)"
 
 
 def test_gate_operator_default_forms():

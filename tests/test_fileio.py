@@ -31,6 +31,7 @@ from holoqsim.fileio import (
     FormatError,
     _complex_pair,
     _load_json,
+    atomic_write_text,
     column_texts,
     csv_text,
     dump_json_text,
@@ -728,6 +729,14 @@ def test_dump_json_parses_and_preserves_floats():
     assert back["flag"] is True and back["none"] is None
 
 
+def test_dump_json_writes_empty_containers_and_refuses_other_types():
+    assert dump_json_text({"a": [], "b": {}, "c": ()}) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}\n'
+    for value, name in ((1j, "complex"), ({1}, "set"), (b"x", "bytes")):
+        with pytest.raises(TypeError) as err:
+            dump_json_text({"x": [value]})
+        assert str(err.value) == f"cannot serialize {name}"
+
+
 # Signed zero, the smallest subnormal, a huge value, 1/3 and 1, with
 # labels given out of order.  The literals pin the writers' exact bytes.
 PINNED_STATE = HoloState(3, {"110": complex(1.0, 5e-324), "001": complex(-0.0, 1 / 3),
@@ -793,3 +802,11 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_state(path, psi)
     save_state(path, psi)  # overwrite through rename
     assert [f for f in os.listdir(tmp_path) if f != "out.json"] == []
+
+
+def test_atomic_write_re_raises_an_error_that_is_not_an_os_error(tmp_path):
+    # The text is written before the rename, so a bad text leaves no file.
+    with pytest.raises(TypeError) as err:
+        atomic_write_text(str(tmp_path / "out.txt"), 42)
+    assert str(err.value) == "write() argument must be str, not int"
+    assert os.listdir(tmp_path) == []

@@ -63,6 +63,14 @@ def test_fidelity_rejects_unnormalized():
         fidelity(bad, good)
 
 
+def test_fidelity_refuses_states_of_different_registers():
+    one = encode_state(np.array([1.0, 0.0]))
+    two = encode_state(np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError) as err:
+        fidelity(one, two)
+    assert str(err.value) == "register mismatch"
+
+
 def test_fs_distance_range_and_examples():
     psi = encode_state(np.array([1.0, 0.0]))
     phi = encode_state(np.array([0.0, 1.0]))
@@ -109,6 +117,13 @@ def test_product_state_rejects_unnormalized_factor():
 def test_product_state_rejects_a_non_finite_factor(bad, shown):
     with pytest.raises(ValueError, match=rf"^factor 2 is not normalized \(norm {shown}\)$"):
         ProductState((np.array([1.0, 0.0]), np.array([bad, 0.0])))
+
+
+@pytest.mark.parametrize("factor", [np.ones(3) / math.sqrt(3), np.array([1.0]), np.eye(2)])
+def test_product_state_refuses_a_factor_that_is_not_a_2_vector(factor):
+    with pytest.raises(ValueError) as err:
+        ProductState((np.array([1.0, 0.0]), factor))
+    assert str(err.value) == "factor 2 is not a 2-vector"
 
 
 # -- entanglement measure ---------------------------------------------
@@ -410,7 +425,9 @@ def test_stacked_ascent_on_16_qubits_keeps_the_memory_of_one_restart(monkeypatch
     # restarts holds ~29 MiB.
     monkeypatch.setattr(geometry, "MAX_SWEEPS", 2)
     psi = encode_state(random_state_vector(np.random.default_rng(16), 16))
-    assert psi.is_normalized  # builds and caches the amplitude map first
+    # The optimizer checks the norm inside the window too: HoloState.norm's list of
+    # 2^16 Python amplitudes peaks near 3.5 MiB there, above the ascent itself.
+    assert psi.is_normalized
     tracemalloc.start()
     try:
         maximize_product_overlap(psi, restarts=16, seed=1)
@@ -577,6 +594,13 @@ def test_loop_rejects_open_path():
     states.append(encode_state(np.array([0.0, 1.0])))
     with pytest.raises(ValueError):
         StateLoop(np.array([s.to_vector() for s in states]))
+
+
+@pytest.mark.parametrize("shape", [(17,), (17, 1), (17, 3), (17, 6), (2, 17, 2)])
+def test_loop_refuses_an_array_that_is_not_one_vector_per_row(shape):
+    with pytest.raises(ValueError) as err:
+        StateLoop(np.ones(shape, dtype=complex))
+    assert str(err.value) == f"loop vectors must form an (M+1, 2^N) array, got shape {shape}"
 
 
 def test_holonomy_rejects_orthogonal_consecutive_states():

@@ -19,6 +19,7 @@ from holoqsim import (
     sb_inner_product,
     to_poly,
 )
+from holoqsim.diffop import DiffOperator
 from holoqsim.fileio import state_text
 from holoqsim.holostate import _exponents_to_index, basis_exponents, basis_indices
 
@@ -388,3 +389,30 @@ def test_inner_product_positive_definite_property(expos, coeffs):
     assert ip.real >= -1e-12
     if not p.is_zero:
         assert ip.real > 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparsePoly(0, {}), lambda: SparsePoly.zero(-1), lambda: HoloState(0, {}),
+], ids=["sparse-poly", "sparse-poly-negative", "holo-state"])
+def test_term_maps_and_states_refuse_an_empty_register(build):
+    with pytest.raises(ValueError, match=r"^nqubits must be >= 1, got -?\d+$"):
+        build()
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_variable_refuses_an_index_outside_the_register(index):
+    with pytest.raises(ValueError) as err:
+        SparsePoly.variable(1, index)
+    assert str(err.value) == f"variable index {index} out of range 0..1"
+
+
+@pytest.mark.parametrize("poly, text", [
+    (SparsePoly(1, {(1, 0): 1.0, (0, 1): 2j}), "SparsePoly(n=1, (0+2j)*z1 + (1+0j)*z0)"),
+    (SparsePoly(2, {(2, 0, 1, 0): -0.5}), "SparsePoly(n=2, (-0.5+0j)*z0^2*z2)"),
+    (SparsePoly.one(1), "SparsePoly(n=1, (1+0j)*1)"),
+    (SparsePoly.zero(2), "SparsePoly(n=2, 0)"),
+    (DiffOperator(1, {((0, 1), (1, 0)): 1.0, ((0, 0), (0, 0)): -1}),
+     "DiffOperator(n=1, (-1+0j)*1 + (1+0j)*z1*d0)"),
+], ids=["two-terms", "power", "constant", "zero", "operator"])
+def test_term_map_repr(poly, text):
+    assert repr(poly) == text

@@ -14,6 +14,7 @@ from holoqsim import (
     HoloState,
     StateVector,
     compare_states,
+    encode_state,
     haar_random_unitary,
     run_circuit_holo,
     run_circuit_matrix,
@@ -36,6 +37,30 @@ def test_basis_construction():
 def test_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("bits", ["1_0", " 10", "+10", "\u0661\u0660"],
+                         ids=["underscore", "space", "plus", "arabic-indic"])
+def test_basis_refuses_labels_that_int_would_read(bits):
+    # int(bits, 2) reads each of these as 2; a label is N ASCII 0s and 1s, as HoloState reads it
+    with pytest.raises(ValueError) as err:
+        StateVector.basis(bits)
+    assert str(err.value) == f"bad basis label {bits!r} for {len(bits)} qubit(s)"
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6, 12])
+def test_state_vector_and_encode_state_refuse_a_length_alike(size):
+    message = f"amplitude vector length {size} is not a power of two >= 2"
+    for build in (StateVector, encode_state):
+        with pytest.raises(ValueError) as err:
+            build(np.zeros(size, dtype=complex))
+        assert str(err.value) == message
+
+
+def test_run_circuit_matrix_refuses_a_state_of_another_size():
+    with pytest.raises(ValueError) as err:
+        run_circuit_matrix(Circuit(2), StateVector.basis("0"))
+    assert str(err.value) == "circuit and state register sizes differ"
 
 
 def test_x_on_each_qubit():

@@ -38,6 +38,14 @@ def test_pauli_hamiltonian_rejects_a_qubit_outside_the_register(qubit):
         pauli_hamiltonian("Z", qubit, nqubits=3)
 
 
+@pytest.mark.parametrize("kind", ["W", "x", "H"])
+def test_pauli_hamiltonian_and_reference_refuse_an_unknown_kind(kind):
+    for build in (lambda: pauli_hamiltonian(kind, 1), lambda: pauli_propagator_reference(kind, 0.1)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"kind must be one of X, Y, Z, got {kind!r}"
+
+
 def test_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         QuadraticHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))

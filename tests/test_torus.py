@@ -136,6 +136,19 @@ def test_torus_point_refuses_a_non_finite_phase_naming_it(phases, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("phases", [(), (0.1,), (0.1, 0.2, 0.3)])
+def test_torus_point_refuses_an_odd_or_empty_phase_list(phases):
+    with pytest.raises(ValueError) as refused:
+        TorusPoint(phases)
+    assert str(refused.value) == "phases must hold an (a, b) pair per qubit"
+
+
+def test_torus_distance_refuses_points_of_different_size():
+    with pytest.raises(ValueError) as refused:
+        TorusPoint((0.1, 0.2)).distance(TorusPoint((0.1, 0.2, 0.3, 0.4)))
+    assert str(refused.value) == "dimension mismatch"
+
+
 # -- integration ------------------------------------------------------
 
 
@@ -534,6 +547,22 @@ def test_flowspec_validation():
         FlowSpec("X", 1, -1.0, 0.1)
     with pytest.raises(ValueError):
         FlowSpec("X", 1, 1.0, 0.0)
+    for qubit in (0, -2):
+        with pytest.raises(ValueError) as refused:
+            FlowSpec("X", qubit, 1.0, 0.1)
+        assert str(refused.value) == "qubit index is 1-based"
+
+
+@pytest.mark.parametrize("times, phases, sums, message", [
+    (np.zeros(3), np.zeros((2, 2)), np.zeros((3, 1)),
+     "sample count mismatch between times and phases"),
+    (np.zeros(2), np.zeros((2, 4)), np.zeros((2, 1)), "sum_phases shape mismatch"),
+    (np.zeros(2), np.zeros((2, 2)), np.zeros((3, 1)), "sum_phases shape mismatch"),
+], ids=["phases-rows", "sums-columns", "sums-rows"])
+def test_trajectory_refuses_arrays_that_disagree_in_shape(times, phases, sums, message):
+    with pytest.raises(ValueError) as refused:
+        torus.Trajectory(times, phases, sums)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("t_final, dt", [

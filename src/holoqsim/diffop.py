@@ -37,26 +37,27 @@ relabelled 1..k in the gate's order), and `derive_block` applies that
 operator or substitution to each of the 2^k basis monomials and decodes
 each image with `from_poly`, which raises on any output that is not
 homogeneous of degree one in every pair: the homogeneity claim is checked
-each time a block is derived.  The result is a 2^k x 2^k matrix.  Blocks
-of the kinds without parameters are cached per kind.  A CU block is linear
-in the Pauli components of its u, so the five blocks of P0_c and of P1_c
-times 1, X, Y, Z on the target are derived once and each CU block is
-their weighted sum.  `apply_gate` reads that one cache for both forms
-of a HoloState.  A map form is folded on its keys, `HoloState.indexed`,
-each a label read as a big-endian integer (qubit q is bit N - q), so a
-run parses and formats no label.  A key's gate bits select
-a block column, whose nonzero entries are read into a table once per kind
-and once per CU gate; each output key is the input key with the row's bits
-put in, so a gate costs a few integer operations per stored term and row,
-whatever N is.  X, Y, Z, SWAP, CNOT and CZ move each term alone to a new
-key times 1, -1, 1j or -1j, so no prune at ZERO_TOL follows them.  A
-vector form's 2^N array is contracted with the block as a [2]*N tensor,
-which `run_circuit_holo` moves to at a measured crossover.  The dict is
-checked by `HoloState.from_indexed` once per run (per gate in
-`apply_gate`).  That is safe because every key is a checked key with block
-rows put in, and every block was checked by `from_poly` when it was
-derived; a non-finite value, from an unnormalized start that overflows,
-stays non-finite under these blocks, so the one check still refuses it.
+each time a block is derived.  The result is a 2^k x 2^k matrix.  A kind
+without parameters is derived once and cached with its table.  A CU block
+is linear in the Pauli components of its u, so the five blocks of P0_c and
+of P1_c times 1, X, Y, Z on the target are derived once and each CU block
+is their weighted sum.  `run_circuit_holo` folds a circuit, and
+`apply_gate` runs one step of that fold in the state's own form.  A map
+form is folded on its keys, `HoloState.indexed`, each a label read as a
+big-endian integer (qubit q is bit N - q), so a run parses and formats no
+label.  A key's gate bits select a block column, whose nonzero entries are
+read into a table once per kind and once per CU gate; each output key is
+the input key with the row's bits put in, so a gate costs a few integer
+operations per stored term and row, whatever N is.  X, Y, Z, SWAP, CNOT
+and CZ move each term alone to a new key times 1, -1, 1j or -1j, so no
+prune at ZERO_TOL follows them.  A vector form's 2^N array is contracted
+with the block as a [2]*N tensor, which `run_circuit_holo` moves to at a
+measured crossover.  The dict is checked by `HoloState.from_indexed` once
+per run (per gate in `apply_gate`).  That is safe because every key is a
+checked key with block rows put in, and every block was checked by
+`from_poly` when it was derived; a non-finite value, from an unnormalized
+start that overflows, stays non-finite under these blocks, so the one
+check still refuses it.
 The full-register path (`gate_operator` on N qubits, `apply_diffop`,
 `apply_substitution`, `to_poly`, `from_poly`) stays as the derivation and
 as the cross-check the tests compare against.  H and SWAP always run
@@ -515,12 +516,6 @@ def derive_block(op: DiffOperator | Substitution) -> GateBlock:
 
 
 @functools.cache
-def _fixed_block(kind: str) -> GateBlock:
-    """Block of a gate without parameters; one per kind, at most 7."""
-    return derive_block(_local_operator(kind))
-
-
-@functools.cache
 def _cu_component_blocks() -> tuple[GateBlock, ...]:
     """Blocks of P0_c and of P1_c times 1, X, Y, Z on the target (control 1, target 2).
 
@@ -533,7 +528,7 @@ def _cu_component_blocks() -> tuple[GateBlock, ...]:
 def gate_block(gate: GateSpec) -> GateBlock:
     """The local block of a gate, read from the algebra-derived caches."""
     if gate.kind != "CU":
-        return _fixed_block(gate.kind)
+        return _fixed_gate(gate.kind)[0]
     p0, *p1_paulis = _cu_component_blocks()
     return p0 + sum(c * b for c, b in zip(_pauli_components(gate.u), p1_paulis))
 
@@ -552,14 +547,15 @@ def _local_table(block: GateBlock) -> LocalTable:
 
 
 @functools.cache
-def _fixed_table(kind: str) -> LocalTable:
-    """Local table of a gate without parameters; one per kind."""
-    return _local_table(_fixed_block(kind))
+def _fixed_gate(kind: str) -> tuple[GateBlock, LocalTable]:
+    """Block and local table of a gate without parameters; one pair per kind, at most 7."""
+    block = derive_block(_local_operator(kind))
+    return block, _local_table(block)
 
 
 def gate_table(gate: GateSpec) -> LocalTable:
     """The local table of a gate: cached per kind, built from its block for a CU."""
-    return _fixed_table(gate.kind) if gate.kind != "CU" else _local_table(gate_block(gate))
+    return _fixed_gate(gate.kind)[1] if gate.kind != "CU" else _local_table(gate_block(gate))
 
 
 def _apply_sparse(table: LocalTable, n: int, qubits: tuple[int, ...],
@@ -609,38 +605,37 @@ def _apply_dense(block: GateBlock, positions: list[int], tensor: np.ndarray) -> 
 def apply_gate(gate: GateSpec, state: HoloState) -> HoloState:
     """Apply a gate's local block to a state; the result has the state's form.
 
-    A map-form state goes through the gate's local table term by term; a
-    vector-form state is contracted with its block as a [2]*N tensor.
+    One step of `run_circuit_holo`'s fold: a map form goes through the gate's
+    local table and is checked as a new HoloState, a vector form is
+    contracted with the block as a [2]*N tensor.
     """
-    circuit = Circuit(state.nqubits, (gate,))  # refuses a qubit beyond the register
-    return _fold(circuit, state, math.inf if state.vector is None else 0)
+    n = state.nqubits
+    Circuit(n, (gate,))  # refuses a qubit beyond the register
+    if state.vector is None:
+        return HoloState.from_indexed(n, _apply_sparse(gate_table(gate), n, gate.qubits,
+                                                       state.indexed))
+    tensor = _apply_dense(gate_block(gate), [q - 1 for q in gate.qubits],
+                          state.vector.reshape((2,) * n))
+    return HoloState(n, tensor.reshape(-1))
 
 
 def run_circuit_holo(circuit: Circuit, state: HoloState) -> HoloState:
     """Fold a circuit over a state, gate by gate, in the polynomial picture.
 
     The run holds one working value: a keyed dict until the term count
-    reaches DENSE_MIN_TERMS + 2^N / DENSE_AMPLITUDES_PER_TERM, then one
-    [2]*N tensor (never above MAX_DENSE_QUBITS), wrapped at the end.  A
-    vector start at that count is contracted as it is when a gate follows;
-    other starts run from their map; an empty circuit returns the start.
-    The working value is checked once, at the dense switch or the end, not
-    at the gate that made it.
+    reaches `dense_crossover(N)`, then one [2]*N tensor (never above
+    MAX_DENSE_QUBITS), wrapped at the end.  A vector start at that count is
+    contracted as it is when a gate follows; other starts run from their
+    map; an empty circuit returns the checked start, in its own form.  The
+    working value is checked once, at the dense switch or the end, not at
+    the gate that made it, and each gate runs as `apply_gate` runs it.
     """
     n = state.nqubits
     if circuit.nqubits != n:
         raise ValueError(f"circuit is for {circuit.nqubits} qubit(s), state has {n}")
-    return _fold(circuit, state, dense_crossover(n))
-
-
-def _fold(circuit: Circuit, state: HoloState, dense_from: float) -> HoloState:
-    """The fold behind both entry points: the map form below `dense_from` stored terms.
-
-    With no gates, the checked start is the result, in its own form.
-    """
-    n = state.nqubits
     if not circuit.gates:
         return state
+    dense_from = dense_crossover(n)
     if state.vector is not None and np.count_nonzero(state.vector) >= dense_from:
         amps, tensor = None, state.vector.reshape((2,) * n)
     else:  # the checked start; the gates replace it

@@ -28,6 +28,7 @@ factorials are 0! or 1!, so it reduces to the usual amplitude dot product.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 
@@ -366,10 +367,12 @@ class HoloState:
     def norm(self) -> float:
         """2-norm of the amplitudes, summed in map order; inf when a square overflows a float.
 
-        A vector form sums its nonzero entries in index order, without building a map.
+        A vector form sums its nonzero entries in index order, without building
+        a map: one sum over blocks of 2^16 entries, each listed as it is reached.
         """
         v = self.vector
-        values = self._indexed.values() if v is None else v[np.flatnonzero(v)].tolist()
+        values = self._indexed.values() if v is None else itertools.chain.from_iterable(
+            v[i + np.flatnonzero(v[i:i + 2 ** 16])].tolist() for i in range(0, v.size, 2 ** 16))
         try:
             return math.sqrt(sum(abs(c) ** 2 for c in values))
         except OverflowError:

@@ -192,8 +192,10 @@ def _mix_pairs(amps: dict[int, complex], target: int, control: int,
 
     The pairs are gathered as the columns of a 2 x P array, padded with zero
     columns to a multiple of four: BLAS then rounds every column as it rounds
-    the dense form's 2^(N-1) columns, where a remainder of 1-3 would not, so
-    both forms give bitwise the same amplitudes.
+    the dense form's 2^(N-1) columns for H and 2^(N-2) for CU, where a
+    remainder of 1-3 would not.  From N = 4 those are multiples of four too,
+    so both forms give bitwise the same amplitudes; at N = 1, 2 and 3 they
+    can differ in the last bit (`sparse_cap` keeps diff dense below N = 8).
     """
     out: dict[int, complex] = {}
     pairs: dict[int, list[complex]] = {}

@@ -12,6 +12,8 @@ For a Pauli generator embedded in one qubit pair the propagator is
     exp(-i sigma t) = cos(t) I - i sin(t) sigma,
 
 so at t = pi/2 the flow reproduces the gate up to the global phase -i.
+sigma is the 2x2 block that `diffop.gate_block` derives from the gate's
+differential operator, so gates and flows share one source.
 Energy conj(z)^T h z and the norm of z are exact invariants of the flow
 and stay conserved to rounding error under the eigenbasis propagator.
 A point z is a plain complex array of 2N amplitudes, and the exact flow
@@ -28,16 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffop import GateSpec, gate_block
 from .holostate import _check_qubit, vdot_rows
 from .torus import fixed_steps
 
 HERMITIAN_TOL = 1e-12
-
-_PAULI_BLOCKS = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -68,13 +65,13 @@ class QuadraticHamiltonian:
 
 
 def pauli_hamiltonian(kind: str, qubit: int, nqubits: int = 1) -> QuadraticHamiltonian:
-    """Pauli block on one qubit pair, zero elsewhere."""
-    if kind not in _PAULI_BLOCKS:
+    """The derived Pauli block of X, Y or Z on one qubit pair, zero elsewhere."""
+    if kind not in ("X", "Y", "Z"):
         raise ValueError(f"kind must be one of X, Y, Z, got {kind!r}")
     _check_qubit(qubit, nqubits)
     h = np.zeros((2 * nqubits, 2 * nqubits), dtype=complex)
     i = 2 * (qubit - 1)
-    h[i:i + 2, i:i + 2] = _PAULI_BLOCKS[kind]
+    h[i:i + 2, i:i + 2] = gate_block(GateSpec(kind, (1,)))
     return QuadraticHamiltonian(h)
 
 
@@ -115,10 +112,8 @@ def rk4_flow(ham: QuadraticHamiltonian, z0: np.ndarray, t: float,
 
 
 def pauli_propagator_reference(kind: str, t: float) -> np.ndarray:
-    """Independent closed form cos(t) I - i sin(t) sigma for one pair."""
-    if kind not in _PAULI_BLOCKS:
-        raise ValueError(f"kind must be one of X, Y, Z, got {kind!r}")
-    return math.cos(t) * np.eye(2) - 1j * math.sin(t) * _PAULI_BLOCKS[kind]
+    """Closed form cos(t) I - i sin(t) sigma for one pair, independent of `propagator`."""
+    return math.cos(t) * np.eye(2) - 1j * math.sin(t) * pauli_hamiltonian(kind, 1).hmatrix
 
 
 def compare_with_gate(kind: str, t: float, samples: int = 100,

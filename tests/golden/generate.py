@@ -1,7 +1,7 @@
 """Golden output corpus for every `holoqsim` command.
 
     python tests/golden/generate.py           # rewrite cases.json and digests.json
-    python tests/golden/generate.py --check   # run the cases, list moved digests
+    python tests/golden/generate.py --check   # run the cases, list what moved in each
 
 `cases.json` holds the input files and the cases.  An input file is made
 from a seed by one of the MAKERS below, or given as literal text.  A case
@@ -467,16 +467,41 @@ def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def environment_note(recorded: dict) -> str | None:
+    """Why every float case may move: the running Python or numpy is not the recorded one."""
+    here = environment()
+    if all(recorded[key] == here[key] for key in here):
+        return None
+    return (f"the digests were recorded on {', '.join(f'{k} {recorded[k]}' for k in here)}; "
+            f"this is {', '.join(f'{k} {v}' for k, v in here.items())}, "
+            "so every case that prints a float is expected to move")
+
+
+def moved_parts(stored: dict, digest: dict | None) -> list[str]:
+    """What moved in one case: "exit", "stdout", "stderr" or an output file's path."""
+    if digest is None:
+        return ["not run"]
+    files = stored["files"]
+    return ([part for part in ("exit", "stdout", "stderr") if stored[part] != digest[part]]
+            + [path for path in {**files, **digest["files"]}
+               if files.get(path) != digest["files"].get(path)])
+
+
 def main(argv: list[str]) -> int:
     check = "--check" in argv
     corpus = json.loads(CASES.read_text()) if check else build_cases()
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_corpus(corpus, Path(tmp))
     if check:
-        stored = json.loads(DIGESTS.read_text())["cases"]
-        moved = [name for name in stored if stored[name] != digests.get(name)]
-        print("\n".join(moved) or f"all {len(stored)} digests unchanged")
-        return 1 if moved else 0
+        recorded = json.loads(DIGESTS.read_text())
+        stored = recorded["cases"]
+        moved = {name: moved_parts(stored[name], digests.get(name)) for name in stored}
+        lines = [f"{name}: {', '.join(parts)}" for name, parts in moved.items() if parts]
+        note = environment_note(recorded)
+        if note:
+            print(note)
+        print("\n".join(lines) or f"all {len(stored)} digests unchanged")
+        return 1 if lines else 0
     CASES.write_text(json.dumps(corpus, indent=1) + "\n")
     DIGESTS.write_text(json.dumps({**environment(), "cases": digests}, indent=1) + "\n")
     print(f"wrote {len(digests)} cases to {CASES.name} and {DIGESTS.name}")

@@ -40,7 +40,7 @@ from holoqsim.diffop import (
     GATE_ARITY,
     _apply_dense,
     _apply_sparse,
-    _fixed_table,
+    _fixed_gate,
     _local_operator,
     cnot_op,
     cz_op,
@@ -863,13 +863,13 @@ def test_only_unit_permutation_tables_skip_the_prune():
     permuting = {"X", "Y", "Z", "SWAP", "CNOT", "CZ"}
     for kind in ALL_KINDS:
         if kind != "CU":
-            assert _fixed_table(kind)[1] == (kind in permuting), kind
+            assert _fixed_gate(kind)[1][1] == (kind in permuting), kind
     rng = np.random.default_rng(49)
     haar = GateSpec("CU", (1, 2), haar_random_unitary(rng))
     assert not gate_table(haar)[1]
     flip = GateSpec("CU", (1, 2), X_MAT)  # a CNOT as its table holds it
     cnot = (((0, 1),), ((1, 1),), ((3, 1),), ((2, 1),))  # column 2 goes to row 3 and back
-    assert gate_table(flip) == _fixed_table("CNOT") == (cnot, True)
+    assert gate_table(flip) == _fixed_gate("CNOT")[1] == (cnot, True)
     # |0.8+0.6j| is 1.0 in floating point, but c * amp rounds, here to ZERO_TOL: pruned.
     phase = GateSpec("CU", (1, 2), np.diag([1, 0.8 + 0.6j]))
     amp = complex(-7.341273014107228e-15, 6.790118594865704e-15)

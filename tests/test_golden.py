@@ -44,3 +44,19 @@ def test_refused_cases_give_their_recorded_digests(tmp_path):
     assert refused
     digests = _generator().run_corpus({"inputs": corpus["inputs"], "cases": refused}, tmp_path)
     assert digests == {case["name"]: recorded[case["name"]] for case in refused}
+
+
+def test_check_names_what_moved_in_each_case_and_a_version_change_first():
+    generate = _generator()
+    stored = {"exit": 0, "stdout": "a", "stderr": "b",
+              "files": {"out/x.json": "c", "out/y.csv": "d"}}
+    assert generate.moved_parts(stored, json.loads(json.dumps(stored))) == []
+    digest = {"exit": 2, "stdout": "a", "stderr": "e",
+              "files": {"out/x.json": "c", "out/z.csv": "f"}}
+    assert generate.moved_parts(stored, digest) == ["exit", "stderr", "out/y.csv", "out/z.csv"]
+    assert generate.moved_parts(stored, None) == ["not run"]
+    here = generate.environment()
+    assert generate.environment_note(here) is None
+    note = generate.environment_note({**here, "numpy": "0.0"})
+    assert note.startswith("the digests were recorded on ") and "numpy 0.0" in note
+    assert f"this is python {here['python']}, numpy {here['numpy']}" in note

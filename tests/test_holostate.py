@@ -311,6 +311,22 @@ def test_vector_norm_holds_no_label_map():
     assert peak < 6 * 2 ** 20  # the 2^16-label map alone holds ~7.9 MiB
 
 
+def test_vector_norm_lists_its_amplitudes_block_by_block_to_the_same_bits():
+    n = 18
+    v = random_state_vector(np.random.default_rng(18), n)
+    v[::3] = 0  # zeros in every block: only the nonzero entries are summed
+    state = HoloState(n, v)
+    tracemalloc.start()
+    try:
+        norm = state.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = math.sqrt(sum(abs(c) ** 2 for c in v[np.flatnonzero(v)].tolist()))
+    assert norm.hex() == whole.hex()
+    assert peak < 6 * 2 ** 20  # one list of all 2^18 * 2/3 amplitudes peaks at ~9.3 MiB
+
+
 def test_vector_form_with_nan_is_refused_naming_its_label():
     v = np.zeros(4, dtype=complex)
     v[[0, 2, 3]] = [1.0, complex(math.nan, 0.0), math.inf]

@@ -358,6 +358,22 @@ def test_sparse_form_matches_the_dense_form(n, seed, depth, exact, fill):
         assert np.max(np.abs(_dense(out, n) - dense)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_sparse_form_equals_the_dense_form_bit_for_bit_from_four_qubits(n):
+    """Every amplitude equal, not only within 1e-12, under all eight kinds.
+
+    H and CU contract padded pairs in the sparse form, which BLAS rounds as
+    the dense form's columns from N = 4; below that the two can differ.
+    """
+    rng = np.random.default_rng(400 + n)
+    for _ in range(12):
+        circuit = random_circuit(rng, n, int(rng.integers(1, 41)))
+        start = _sparse_start(rng, n, int(rng.integers(1, 2 ** n // 4 + 1)))
+        out = run_circuit_sparse(circuit, start)
+        dense = run_circuit_matrix(circuit, StateVector(_dense(start, n))).amplitudes
+        assert np.array_equal(_dense(out, n), dense), circuit
+
+
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(25, 64), seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 40),
        hadamards=st.integers(0, 4), terms=st.integers(1, 3))

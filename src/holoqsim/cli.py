@@ -14,6 +14,11 @@ input or arguments, or an input or output path that cannot be used.  All
 numeric output is printed with 17 significant digits and all file writes
 are atomic, so runs with identical inputs and seeds produce byte-identical
 outputs.
+
+This module loads the simulator's modules (holostate, diffop, oracle,
+fileio) and nothing more.  The study commands import their torus, geometry
+and semiclassical names inside their cmd_* and argument-declaring
+functions, so a `simulate` or `diff` process never loads those modules.
 """
 
 from __future__ import annotations
@@ -38,14 +43,6 @@ from .fileio import (
     save_state,
     save_trajectory,
 )
-from .geometry import (
-    DEFAULT_RESTARTS,
-    SEPARABLE_TOL,
-    berry_holonomy,
-    bloch_circle_loop,
-    maximize_product_overlap,
-    overlap_distance,
-)
 from .holostate import MAX_DENSE_QUBITS, HoloState, fits_dense, norm_rows
 from .oracle import (
     StateVector,
@@ -55,8 +52,6 @@ from .oracle import (
     sparse_cap,
     sparse_term_bound,
 )
-from .semiclassical import pauli_hamiltonian, propagator
-from .torus import GENERATORS, FlowSpec, TorusPoint, fixed_steps, integrate_flow
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -163,6 +158,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    from .torus import FlowSpec, TorusPoint, fixed_steps, integrate_flow
+
     generator = args.generator
     offsets = (_parse_float_list(args.offsets, "--offsets")
                if args.offsets else DEFAULT_OFFSETS)
@@ -200,6 +197,8 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
+    from .geometry import maximize_product_overlap, overlap_distance
+
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     state = _load_state_checked(args.state)
@@ -229,6 +228,8 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
+    from .geometry import berry_holonomy, bloch_circle_loop
+
     if (args.loop is None) == (args.theta is None):
         raise ValueError("give exactly one of --loop FILE or --theta ANGLE")
     if args.loop is not None:
@@ -252,6 +253,9 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_classical_evolve(args) -> int:
+    from .semiclassical import pauli_hamiltonian, propagator
+    from .torus import fixed_steps
+
     raw = _parse_float_list(args.z0, "--z0")
     if len(raw) % 4:
         raise ValueError("--z0 needs 4 numbers per qubit: re_a, im_a, re_b, im_b")
@@ -302,6 +306,8 @@ def _diff(p: argparse.ArgumentParser) -> None:
 
 
 def _portrait(p: argparse.ArgumentParser) -> None:
+    from .torus import GENERATORS
+
     p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dt", type=float, default=0.01)
@@ -314,6 +320,8 @@ def _portrait(p: argparse.ArgumentParser) -> None:
 
 
 def _entanglement(p: argparse.ArgumentParser) -> None:
+    from .geometry import DEFAULT_RESTARTS, SEPARABLE_TOL
+
     p.add_argument("--state", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -332,6 +340,8 @@ def _holonomy(p: argparse.ArgumentParser) -> None:
 
 
 def _classical_evolve(p: argparse.ArgumentParser) -> None:
+    from .torus import GENERATORS
+
     p.add_argument("--generator", required=True, type=str.upper, choices=GENERATORS)
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.01)

@@ -53,13 +53,16 @@ import json
 import os
 import tempfile
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .diffop import GATE_ARITY, Circuit, GateSpec, _prechecked_gate, dense_crossover
-from .geometry import StateLoop
 from .holostate import HoloState, basis_indices, require_dense
-from .torus import Trajectory
+
+if TYPE_CHECKING:
+    from .geometry import StateLoop
+    from .torus import Trajectory
 
 
 class FormatError(ValueError):
@@ -374,6 +377,8 @@ def save_circuit(path: str, circuit: Circuit) -> None:
 
 
 def load_loop(path: str) -> StateLoop:
+    from .geometry import StateLoop
+
     doc = _load_json(path)
     n = _register_size(doc, "states", path)
     if not isinstance(doc["states"], list):

@@ -674,7 +674,6 @@ def test_entanglement_runs_optimizer_once(tmp_path, capsys, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(holoqsim.cli, "maximize_product_overlap", counting)
     monkeypatch.setattr(holoqsim.geometry, "maximize_product_overlap", counting)
     state = tmp_path / "w.json"
     r = 1 / math.sqrt(3.0)
@@ -961,6 +960,43 @@ def test_unusable_path_exits_2_naming_it(bell_files, tmp_path, capsys, argv, bad
     assert bad.format(**names) in stderr
     assert ".tmp-" not in stderr
     assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, with its bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+_OUT_ARGV = {
+    "simulate": ["simulate", "--circuit", "{circuit}", "--state", "{state}", "--out"],
+    "diff": ["diff", "--circuit", "{circuit}", "--state", "{state}", "--out"],
+    "entanglement": ["entanglement", "--state", "{state}", "--restarts", "1", "--out"],
+    "classical-evolve": ["classical-evolve", "--generator", "X", "--t-final", "0.1", "--out"],
+    "portrait": ["portrait", "--generator", "X", "--t-final", "0.1", "--out-dir"],
+}
+
+
+# An existing directory and a path under a missing one, for each --out; an
+# existing file for portrait's --out-dir, the one output that must be a directory.
+@pytest.mark.parametrize("command, target, message", [
+    *[(command, target, message)
+      for command in ("simulate", "diff", "entanglement", "classical-evolve")
+      for target, message in (("dir", "[Errno 21] Is a directory"),
+                              ("missing/x", "[Errno 2] No such file or directory"))],
+    ("portrait", "file", "[Errno 17] File exists"),
+])
+def test_unusable_output_path_exits_2_and_leaves_the_tree_as_it_was(
+        bell_files, tmp_path, capsys, command, target, message):
+    circ, state = bell_files
+    (tmp_path / "file").write_bytes(b"kept\n")
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / target)
+    before = _tree(tmp_path)
+    code, stdout, stderr = run_cli(
+        capsys, *(a.format(circuit=circ, state=state) for a in _OUT_ARGV[command]), path)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}: {path!r}\n")
+    assert _tree(tmp_path) == before  # no temp file, no new directory, same bytes
 
 
 @pytest.mark.parametrize("text, argv, message", [
